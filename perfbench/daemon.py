@@ -1,10 +1,11 @@
 """Daemon workloads: a real ``python -m repro.cli serve`` driven over HTTP.
 
 One run: set up (spawn -> listening -> warm-up jobs DONE) several times on
-fresh workdirs, keeping the last daemon; an open-loop phase that sends the
-plan's single-job ``POST /v1/jobs`` arrivals on schedule whether or not
-earlier jobs finished; then a capacity phase that hands the same job mix
-over as ``POST /v1/jobs/batch`` backlogs.  Load comes from this one
+fresh workdirs, keeping the last daemon; then the plan's blocks, one after
+the other.  Each block is an open-loop segment that sends single-job
+``POST /v1/jobs`` arrivals on schedule whether or not earlier jobs
+finished, and then a capacity backlog that hands the same job mix over as
+one ``POST /v1/jobs/batch``.  Load comes from this one
 process over at most ``nproc`` (and at most two) connections.  Latency runs
 from a job's due time to the daemon's recorded completion (``updated_at``);
 both are wall-clock times on this host.
@@ -30,7 +31,14 @@ from pathlib import Path
 from perfbench import stats, workloads
 
 #: Set-ups per run; ``setup_s`` is their median and the last daemon is kept.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+
+#: Health-poll interval while a timed segment or backlog drains.  Completion
+#: times come from the daemon's records, so the interval only decides when
+#: the next step starts; each poll costs the daemon ~0.3 ms of CPU under
+#: the queue workers' GIL, so polling at 100 Hz took ~3% of a core from the
+#: jobs being timed.  Set-up polls every 10 ms, as its end is timed here.
+DRAIN_POLL_S = 0.05
 
 #: Cold jobs re-audited in-process after the timed phase (one per algorithm).
 REAUDIT_SAMPLE = len(workloads.PAPER_ALGORITHMS)
@@ -112,14 +120,14 @@ def _connections() -> int:
     return max(1, min(2, os.cpu_count() or 1))
 
 
-def wait_idle(client: Client, timeout: float = 120.0) -> None:
-    """Poll health until nothing is queued or running."""
+def wait_idle(client: Client, interval: float = 0.01, timeout: float = 120.0) -> None:
+    """Poll health every ``interval`` seconds until nothing is queued or running."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         _, health = client.call("GET", "/v1/healthz")
         if health["queued"] == 0 and health["running"] == 0:
             return
-        time.sleep(0.01)
+        time.sleep(interval)
     raise TimeoutError("daemon did not drain its queue in time")
 
 
@@ -271,6 +279,19 @@ def _delta(before: dict, after: dict, kind: str, name: str, field: "str | None" 
     return float(get(after) - get(before))
 
 
+#: ``/v1/metrics`` timers and counters summed over the open-loop segments.
+_TRACED = (
+    ("timings", "service.job_seconds", "count"),
+    ("timings", "service.job_seconds", "total_seconds"),
+    ("timings", "algorithm.run_seconds", "count"),
+    ("timings", "algorithm.run_seconds", "total_seconds"),
+    ("timings", "service.wait_seconds", "count"),
+    ("timings", "service.wait_seconds", "total_seconds"),
+    ("counters", "service.cache_hits", None),
+    ("counters", "service.cache_misses", None),
+)
+
+
 def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workroot: Path) -> dict:
     """One run of a daemon workload; returns the result record."""
     cfg = workloads.DAEMON[workload]
@@ -278,6 +299,11 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
     setup_times = []
     daemon = None
     errors: "list[str]" = []
+    deltas = dict.fromkeys(_TRACED, 0.0)
+    snapshot_s = cpu_open = 0.0
+    segments = []  # (t0_wall, arrivals, sends) per open-loop segment
+    open_jobs: "dict[str, dict]" = {}
+    capacity = []  # (handover, specs, jobs) per backlog
     try:
         for attempt in range(SETUP_REPEATS):
             if daemon is not None:
@@ -287,60 +313,73 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
             setup_times.append(elapsed)
         client = Client(daemon.port)
         try:
-            snapshot_s = time.perf_counter()
-            before = metrics_snapshot(client) if trace else {}
-            snapshot_s = time.perf_counter() - snapshot_s
-            cpu_before = daemon.cpu_seconds()
-            t0_wall, sends = open_loop(daemon.port, plan["open"])
-            wait_idle(client)
-            cpu_open = daemon.cpu_seconds() - cpu_before
-            if trace:
-                start = time.perf_counter()
-                after = metrics_snapshot(client)
-                snapshot_s += time.perf_counter() - start
-            open_jobs = fetch_jobs(client, len(plan["open"]))
-            capacity = []
-            for specs in plan["capacity"]:
-                handover = submit_backlog(client, specs)
-                wait_idle(client)
-                capacity.append((handover, specs, fetch_jobs(client, len(specs))))
+            for block in plan["blocks"]:
+                if trace:
+                    start = time.perf_counter()
+                    before = metrics_snapshot(client)
+                    snapshot_s += time.perf_counter() - start
+                cpu_before = daemon.cpu_seconds()
+                t0_wall, sends = open_loop(daemon.port, block["open"])
+                wait_idle(client, DRAIN_POLL_S)
+                cpu_open += daemon.cpu_seconds() - cpu_before
+                if trace:
+                    start = time.perf_counter()
+                    after = metrics_snapshot(client)
+                    snapshot_s += time.perf_counter() - start
+                    for key in _TRACED:
+                        deltas[key] += _delta(before, after, *key)
+                segments.append((t0_wall, block["open"], sends))
+                open_jobs.update(fetch_jobs(client, len(block["open"])))
+                handover = submit_backlog(client, block["backlog"])
+                wait_idle(client, DRAIN_POLL_S)
+                capacity.append((handover, block["backlog"],
+                                 fetch_jobs(client, len(block["backlog"]))))
             peak_rss = daemon.peak_rss_mb()
         finally:
             client.close()
-        n_submitted = len(plan["warmup"]) + len(plan["open"]) + sum(len(c[1]) for c in capacity)
+        n_submitted = len(plan["warmup"]) + sum(
+            len(block["open"]) + len(block["backlog"]) for block in plan["blocks"]
+        )
     finally:
         if daemon is not None:
             daemon.stop()
     journal_bytes = daemon.journal_bytes()
     shutil.rmtree(daemon.workdir, ignore_errors=True)
+    open_arrivals = workloads.open_arrivals(plan)
 
     # ---- output checks (outside the timed phases)
     attempted = failed = 0
     latencies, late, ack = [], [], []
     job_spans = []
-    for (offset, spec), send in zip(plan["open"], sends):
-        attempted += 1
-        job = open_jobs.get(spec["id"])
-        ok = send is not None and send[3] == 202 and job is not None and _rows_ok(job, spec)
-        if not ok:
-            failed += 1
-            errors.append(f"open-loop job {spec['id']} failed: {send} {job and job['state']}")
-            continue
-        due_wall = t0_wall + offset
-        latencies.append(job["updated_at"] - due_wall)
-        late.append(send[1] - send[0])
-        ack.append(send[2] - send[1])
-        # Client spans of one job: due -> completed, split at sent and acked.
-        op = len(job_spans) // 4
-        root_index = len(job_spans)
-        sent, acked, done = t0_wall + send[1], t0_wall + send[2], job["updated_at"]
-        job_spans += [
-            ("job", due_wall, done, -1, op),
-            ("loadgen.late", due_wall, sent, root_index, op),
-            ("http.ack", sent, acked, root_index, op),
-            ("daemon.complete", acked, done, root_index, op),
-        ]
+    open_wall = 0.0
+    for t0_wall, arrivals, sends in segments:
+        segment_end = t0_wall
+        for (offset, spec), send in zip(arrivals, sends):
+            attempted += 1
+            job = open_jobs.get(spec["id"])
+            ok = send is not None and send[3] == 202 and job is not None and _rows_ok(job, spec)
+            if not ok:
+                failed += 1
+                errors.append(f"open-loop job {spec['id']} failed: {send} {job and job['state']}")
+                continue
+            due_wall = t0_wall + offset
+            latencies.append(job["updated_at"] - due_wall)
+            late.append(send[1] - send[0])
+            ack.append(send[2] - send[1])
+            # Client spans of one job: due -> completed, split at sent and acked.
+            op = len(job_spans) // 4
+            root_index = len(job_spans)
+            sent, acked, done = t0_wall + send[1], t0_wall + send[2], job["updated_at"]
+            job_spans += [
+                ("job", due_wall, done, -1, op),
+                ("loadgen.late", due_wall, sent, root_index, op),
+                ("http.ack", sent, acked, root_index, op),
+                ("daemon.complete", acked, done, root_index, op),
+            ]
+            segment_end = max(segment_end, done)
+        open_wall += segment_end - t0_wall
     rates = []
+    backlog_jobs = backlog_wall = 0.0
     for handover, specs, done in capacity:
         finished = []
         for spec in specs:
@@ -351,8 +390,11 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
                 errors.append(f"backlog job {spec['id']} failed: {job and job['state']}")
             else:
                 finished.append(job["updated_at"])
-        rates.append(len(finished) / (max(finished) - handover) if finished else 0.0)
-    expected_rows = reaudit([spec for _, spec in plan["open"][:REAUDIT_SAMPLE]])
+        if finished:
+            rates.append(len(finished) / (max(finished) - handover))
+            backlog_jobs += len(finished)
+            backlog_wall += max(finished) - handover
+    expected_rows = reaudit([spec for _, spec in open_arrivals[:REAUDIT_SAMPLE]])
     for job_id, rows in expected_rows.items():
         attempted += 1
         got = open_jobs.get(job_id, {}).get("result") or {}
@@ -367,10 +409,9 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
             failed += 1
             errors.append("rows at the default seed differ from expected/default_seed.json")
 
-    if not latencies:
-        raise RuntimeError(f"no open-loop job completed: {errors[:3]}")
-    n_open = len(plan["open"])
-    open_wall = max(span[2] for span in job_spans) - t0_wall
+    if not latencies or not backlog_jobs:
+        raise RuntimeError(f"no open-loop or backlog job completed: {errors[:3]}")
+    n_open = len(open_arrivals)
     limit_s = cfg["p90_limit_ms"] / 1000.0
     record = {
         "samples": {"latency_s": latencies, "setup_s": setup_times},
@@ -381,8 +422,9 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
         "offered_rate": cfg["rate"],
         "p90_limit_ms": cfg["p90_limit_ms"],
         "daemon_flags": list(workloads.DAEMON_FLAGS),
+        "blocks": len(plan["blocks"]),
         "open_jobs": n_open,
-        "capacity_jobs": len(capacity[0][1]),
+        "capacity_jobs": sum(len(specs) for _, specs, _ in capacity),
         "capacity_rates": rates,
         "slo_miss_frac": (n_open - sum(1 for x in latencies if x <= limit_s)) / n_open,
     }
@@ -391,14 +433,8 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
         {"percentile": tail[0], "ms": 1000.0 * tail[1], "n": len(latencies)} if tail else None
     )
     if trace:
-        jobs_delta = _delta(before, after, "timings", "service.job_seconds", "count")
-        job_total = _delta(before, after, "timings", "service.job_seconds", "total_seconds")
-        search_n = _delta(before, after, "timings", "algorithm.run_seconds", "count")
-        search_total = _delta(before, after, "timings", "algorithm.run_seconds", "total_seconds")
-        wait_n = _delta(before, after, "timings", "service.wait_seconds", "count")
-        wait_total = _delta(before, after, "timings", "service.wait_seconds", "total_seconds")
-        hits = _delta(before, after, "counters", "service.cache_hits")
-        misses = _delta(before, after, "counters", "service.cache_misses")
+        (jobs_delta, job_total, search_n, search_total,
+         wait_n, wait_total, hits, misses) = (deltas[key] for key in _TRACED)
         record["metrics"] = {
             "http.ack_ms_p50": (1000.0 * stats.percentile(ack, 50), "ms"),
             "http.ack_ms_p90": (1000.0 * stats.percentile(ack, 90), "ms"),
@@ -412,7 +448,7 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
             "journal.bytes_per_job": (journal_bytes / n_submitted, "bytes"),
             "daemon.cpu_ms_per_job": (1000.0 * cpu_open / n_open, "ms"),
             "loadgen.late_ms_p90": (1000.0 * stats.percentile(late, 90), "ms"),
-            # Daemon tracing is the two /v1/metrics snapshots; client spans
+            # Daemon tracing is the /v1/metrics snapshots; client spans
             # are derived from records every run keeps anyway.
             "trace.overhead_frac": (snapshot_s / open_wall, "ratio"),
         }
@@ -421,9 +457,10 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: bool, workr
         record["metrics"] = {
             "setup_s": (statistics.median(setup_times), "s"),
             "audits_per_s": (len(latencies) / open_wall, "1/s"),
-            "capacity_jobs_per_s": (statistics.median(rates), "1/s"),
-            "latency_p50_ms": (1000.0 * stats.percentile(latencies, 50), "ms"),
-            "latency_p90_ms": (1000.0 * stats.percentile(latencies, 90), "ms"),
+            # Pooled over the run's backlogs: all their jobs over all their drain time.
+            "capacity_jobs_per_s": (backlog_jobs / backlog_wall, "1/s"),
+            "latency_p50_ms": (1000.0 * stats.harrell_davis(latencies, 50), "ms"),
+            "latency_p90_ms": (1000.0 * stats.harrell_davis(latencies, 90), "ms"),
             "peak_rss_mb": (peak_rss, "MiB"),
         }
     if not all(math.isfinite(v) for v, _ in record["metrics"].values()):

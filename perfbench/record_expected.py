@@ -35,8 +35,8 @@ def main() -> int:
             for a, f, _elapsed, _scores, result in inproc.run_round(ops, population, functions, spec)
         }
     for workload in workloads.DAEMON:
-        plan = workloads.daemon_plan(workload, seed, 45.0)
-        out[workload] = daemon.reaudit([s for _, s in plan["open"][: daemon.REAUDIT_SAMPLE]])
+        arrivals = workloads.open_arrivals(workloads.daemon_plan(workload, seed, 50.0))
+        out[workload] = daemon.reaudit([s for _, s in arrivals[: daemon.REAUDIT_SAMPLE]])
     path = ROOT / "perfbench" / "expected" / "default_seed.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0

@@ -1,7 +1,7 @@
 """Run one benchmark workload, or all of them, and print the metrics.
 
-    python3 perfbench/run.py --workload table2-audit --seed 3 --seconds 45 --trace 0
-    python3 perfbench/run.py --workload all --seconds 45
+    python3 perfbench/run.py --workload table2-audit --seed 3 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload all --seconds 50
 
 The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=45.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", default=None, help="result directory (default: .perfbench/)")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)

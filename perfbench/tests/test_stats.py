@@ -12,6 +12,24 @@ def test_percentile_matches_numpy_linear():
             assert stats.percentile(values, q) == pytest.approx(np.percentile(values, q))
 
 
+def test_harrell_davis_matches_scipy_and_stays_in_range():
+    from scipy.stats.mstats import hdquantiles
+
+    rng = np.random.default_rng(1)
+    for n in (2, 7, 40, 301):
+        values = rng.exponential(size=n).tolist()
+        for q in (10, 50, 90):
+            got = stats.harrell_davis(values, q)
+            assert got == pytest.approx(float(hdquantiles(values, prob=[q / 100.0])[0]))
+            assert min(values) <= got <= max(values)
+    assert stats.harrell_davis([4.5], 50) == pytest.approx(4.5)
+    assert stats.harrell_davis([3.0] * 9, 50) == pytest.approx(3.0)
+    # Symmetric samples have their centre as the median estimate.
+    assert stats.harrell_davis([1.0, 2.0, 10.0, 11.0], 50) == pytest.approx(6.0)
+    with pytest.raises(ValueError):
+        stats.harrell_davis([], 50)
+
+
 def test_samples_beyond_counts_ranks_above_the_percentile():
     assert stats.samples_beyond(100, 90) == 10
     assert stats.samples_beyond(1000, 99) == 10

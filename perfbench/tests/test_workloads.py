@@ -1,7 +1,7 @@
 from perfbench import workloads
 
 #: The benchmark's run length (``run_seconds`` in BENCHMARK.json).
-SECONDS = 45
+SECONDS = 50
 
 
 def test_daemon_plans_are_pure_functions_of_their_arguments():
@@ -22,7 +22,9 @@ def test_in_process_rounds_are_deterministic_and_balanced():
 
 def test_cold_jobs_never_share_a_population():
     plan = workloads.daemon_plan("daemon-cold", 3, SECONDS)
-    specs = plan["warmup"] + [s for _, s in plan["open"]] + sum(plan["capacity"], [])
+    specs = plan["warmup"] + [
+        s for block in plan["blocks"] for s in [s for _, s in block["open"]] + block["backlog"]
+    ]
     sizes = [s["n_workers"] for s in specs]
     assert len(set(sizes)) == len(sizes)
     assert len({s["id"] for s in specs}) == len(specs)
@@ -31,12 +33,18 @@ def test_cold_jobs_never_share_a_population():
 def test_open_loop_arrivals_run_at_the_offered_rate():
     for workload, cfg in workloads.DAEMON.items():
         plan = workloads.daemon_plan(workload, 1, SECONDS)
-        offsets = [due for due, _ in plan["open"]]
-        assert offsets == sorted(offsets)
-        assert offsets[1] - offsets[0] == 1.0 / cfg["rate"]
+        assert len(plan["blocks"]) > 1
+        for block in plan["blocks"]:
+            offsets = [due for due, _ in block["open"]]
+            assert offsets[0] == 0.0
+            assert offsets == sorted(offsets)
+            assert offsets[1] - offsets[0] == 1.0 / cfg["rate"]
         # Every cycle pairs each paper algorithm with a different function.
-        specs = [s for _, s in plan["open"]] + sum(plan["capacity"], [])
-        for start in range(0, len(specs), 5):
-            cycle = specs[start:start + 5]
-            assert sorted(s["algorithm"] for s in cycle) == sorted(workloads.PAPER_ALGORITHMS)
-            assert sorted(s["functions"][0] for s in cycle) == sorted(workloads.FUNCTIONS)
+        arrivals = [s for _, s in workloads.open_arrivals(plan)]
+        backlogs = [s for block in plan["blocks"] for s in block["backlog"]]
+        for specs in (arrivals, backlogs):
+            assert len(specs) % 5 == 0
+            for start in range(0, len(specs), 5):
+                cycle = specs[start:start + 5]
+                assert sorted(s["algorithm"] for s in cycle) == sorted(workloads.PAPER_ALGORITHMS)
+                assert sorted(s["functions"][0] for s in cycle) == sorted(workloads.FUNCTIONS)

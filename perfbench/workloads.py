@@ -46,16 +46,20 @@ DAEMON_FLAGS = (
 
 #: Daemon workloads.  ``rate`` is the offered open-loop rate (jobs/s), about
 #: half of ``capacity_estimate``, the backlog-drain rate measured on a 2-core
-#: host (~1.6-2.6 jobs/s).  The open-loop phase takes ``open_share`` of the
-#: run; ``backlogs`` capacity backlogs together take about ``capacity_share``.
+#: host (set medians 2.0-2.2 jobs/s).  A run is a train of blocks, each an
+#: open-loop segment of ``open_cycles`` five-job cycles followed by a
+#: capacity backlog of ``backlog_cycles`` cycles; the blocks together take
+#: about ``measure_share`` of the run.  Interleaving spreads both the latency
+#: and the capacity samples over the whole run, so a slow stretch of a shared
+#: host weighs on every metric alike instead of on one phase.
 DAEMON = {
     # Every job has its own n_workers, so no cache layer can answer it.
     "daemon-cold": {
         "rate": 1.25,
-        "capacity_estimate": 2.5,
-        "open_share": 0.45,
-        "capacity_share": 0.3,
-        "backlogs": 3,
+        "capacity_estimate": 2.0,
+        "open_cycles": 2,
+        "backlog_cycles": 1,
+        "measure_share": 0.85,
         "p90_limit_ms": 2000.0,
     },
 }
@@ -98,30 +102,43 @@ def _job(job_id: str, algorithm: str, function: str, seed: int, n_workers: int) 
 def daemon_plan(workload: str, seed: int, seconds: float) -> dict:
     """The jobs one daemon run submits.
 
-    ``warmup``: jobs submitted during set-up.  ``open``: ``(due_offset_s,
-    spec)`` arrivals at the fixed offered rate.  ``capacity``: backlogs
-    handed over one by one.  Every job has its own ``n_workers``, so every
-    cache misses; the seed picks the populations and the r-* baselines'
-    draws.  Each cycle of five jobs pairs the five algorithms with the five
-    functions (a Latin square shifted by cycle), so every run, and every
-    backlog, carries the same mix.
+    ``warmup``: jobs submitted during set-up.  ``blocks``: the timed phase,
+    in order; each block is ``{"open": [(due_offset_s, spec)], "backlog":
+    [spec]}``, the open-loop arrivals at the fixed offered rate (offsets
+    from the segment's start) and then one backlog handed over at once.
+    Every job has its own ``n_workers``, so every cache misses; the seed
+    picks the populations and the r-* baselines' draws.  Each cycle of five
+    jobs pairs the five algorithms with the five functions (a Latin square
+    shifted by cycle), so every segment, backlog and run carries the same
+    mix.
     """
     cfg = DAEMON[workload]
     rng = random.Random(f"{workload}:{seed}")
     cycle = len(PAPER_ALGORITHMS)
-    n_open = max(cycle, int(cfg["rate"] * cfg["open_share"] * seconds) // cycle * cycle)
-    per_backlog = cfg["capacity_estimate"] * cfg["capacity_share"] * seconds / cfg["backlogs"]
-    n_cap = max(cycle, int(per_backlog) // cycle * cycle)
+    block_s = cycle * (cfg["open_cycles"] / cfg["rate"]
+                       + cfg["backlog_cycles"] / cfg["capacity_estimate"])
+    n_blocks = max(1, int(cfg["measure_share"] * seconds / block_s))
     base = 7300 + 64 * (seed % 20)
     sizes = iter(range(base + 1, base + (1 << 30)))
+    counters = {"o": 0, "c": 0}
 
-    def make(prefix: str, i: int) -> dict:
+    def make(prefix: str) -> dict:
+        i = counters[prefix]
+        counters[prefix] += 1
         algorithm = PAPER_ALGORITHMS[i % cycle]
         function = FUNCTIONS[(i % cycle + i // cycle) % len(FUNCTIONS)]
         return _job(f"{prefix}{i}", algorithm, function, rng.randrange(1 << 30), next(sizes))
 
-    return {
-        "warmup": [_job("w0", "all-attributes", "f1", 0, base)],
-        "open": [(i / cfg["rate"], make("o", i)) for i in range(n_open)],
-        "capacity": [[make(f"c{b}_", i) for i in range(n_cap)] for b in range(cfg["backlogs"])],
-    }
+    blocks = []
+    for _ in range(n_blocks):
+        arrivals = [(j / cfg["rate"], make("o")) for j in range(cfg["open_cycles"] * cycle)]
+        blocks.append({
+            "open": arrivals,
+            "backlog": [make("c") for _ in range(cfg["backlog_cycles"] * cycle)],
+        })
+    return {"warmup": [_job("w0", "all-attributes", "f1", 0, base)], "blocks": blocks}
+
+
+def open_arrivals(plan: dict) -> "list[tuple[float, dict]]":
+    """Every open-loop arrival of a daemon plan, in order."""
+    return [arrival for block in plan["blocks"] for arrival in block["open"]]
