@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Fixed benchmark suite emitting a machine-readable perf trajectory.
 
-Runs the paper's algorithms over the table scenarios on both execution
-backends and writes ``benchmarks/results/BENCH_<timestamp>.json`` —
+Runs the paper's algorithms over the table scenarios and writes
+``benchmarks/results/BENCH_<timestamp>.json`` —
 wall-clock per case, the engine's effort counters, the traced span
 breakdown, and a no-op-tracer overhead measurement.  Future PRs compare
 their own ``BENCH_*.json`` against the committed one to prove speedups.
@@ -34,9 +34,9 @@ rebuild/streaming speedup expectation into an exit code for CI.
 
 ``--kernels`` adds a ``"kernels"`` section (see docs/performance.md): per
 population size it derives the real atom-table pmf stack from the table1
-scenario and times ``pairwise_matrix`` under every available kernel
-backend (the per-pair ``scalar`` loop the fused kernels replace vs the
-compiled ``numpy``/``numba`` blocks), asserting bit-identical matrices
+scenario and times ``pairwise_matrix`` under every kernel backend (the
+per-pair ``scalar`` loop the fused ``numpy`` kernels replace), asserting
+bit-identical matrices
 along the way; it then times the same audit *job* cold vs warm through a
 :class:`~repro.service.cache.CrossJobCache` + ``CachingEngineFactory`` —
 the exact code path the audit daemon uses — so the warm figure includes
@@ -87,7 +87,9 @@ from repro.simulation.scenarios import table1_scenario, table2_scenario  # noqa:
 
 BENCH_SCHEMA = "repro.bench/v1"
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-BACKENDS = ("sequential", "process")
+#: Execution-backend names a case may carry: every run records
+#: ``sequential``; committed payloads also hold ``process`` cases.
+RECORDED_BACKENDS = ("sequential", "process")
 #: Arrival mixes of the ``--service-load`` SLO sweep (benchmarks/load_gen.py).
 LOAD_MIXES = ("uniform", "skewed", "adversarial")
 #: Offered jobs/sec grid of the service-load sweep (full / --quick).
@@ -154,7 +156,7 @@ def _suite(quick: bool) -> list[tuple[str, object]]:
     ]
 
 
-def _run_case(scenario, scores, algorithm: str, backend: str) -> dict:
+def _run_case(scenario, scores, algorithm: str) -> dict:
     """One audit: wall-clock + engine counters + traced span breakdown."""
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -164,7 +166,6 @@ def _run_case(scenario, scores, algorithm: str, backend: str) -> dict:
         scores,
         hist_spec=scenario.hist_spec,
         rng=0,
-        backend=backend,
         tracer=tracer,
         metrics=metrics,
     )
@@ -173,7 +174,7 @@ def _run_case(scenario, scores, algorithm: str, backend: str) -> dict:
         "scenario": scenario.name,
         "algorithm": algorithm,
         "function": BENCH_FUNCTION,
-        "backend": backend,
+        "backend": result.backend,
         "wall_seconds": wall,
         "unfairness": result.unfairness,
         "n_partitions": result.partitioning.k,
@@ -382,57 +383,54 @@ def _time_streaming_population(n_workers: int, repeats: int) -> dict:
             store.apply(mutation)
         intake.append(time.perf_counter() - start)
 
-    try:
-        start = time.perf_counter()
-        auditor.audit()
-        entry["first_audit_seconds"] = time.perf_counter() - start
-        entry["n_atoms"] = auditor.state.n_atoms
+    start = time.perf_counter()
+    auditor.audit()
+    entry["first_audit_seconds"] = time.perf_counter() - start
+    entry["n_atoms"] = auditor.state.n_atoms
 
-        # Steady-state delta loop: one untimed warm-up pays the one-off
-        # O(k²) tracker seed, then each batch is re-priced without an
-        # intervening audit — the monitor's between-audits regime.
+    # Steady-state delta loop: one untimed warm-up pays the one-off
+    # O(k²) tracker seed, then each batch is re-priced without an
+    # intervening audit — the monitor's between-audits regime.
+    stream_batch()
+    auditor.rescore_delta()
+    for _ in range(repeats):
         stream_batch()
-        auditor.rescore_delta()
-        for _ in range(repeats):
-            stream_batch()
-            start = time.perf_counter()
-            delta_report = auditor.rescore_delta()
-            times["delta_rescore"].append(time.perf_counter() - start)
-            if delta_report is not None and delta_report.stale:
-                stale_deltas += 1
-                auditor.audit()  # restore a live frontier, untimed
-                auditor.rescore_delta()
+        start = time.perf_counter()
+        delta_report = auditor.rescore_delta()
+        times["delta_rescore"].append(time.perf_counter() - start)
+        if delta_report is not None and delta_report.stale:
+            stale_deltas += 1
+            auditor.audit()  # restore a live frontier, untimed
+            auditor.rescore_delta()
 
-        # Audit-vs-rebuild loop: after each batch, the streaming re-audit
-        # races the from-scratch rebuild it replaces on identical state.
-        for _ in range(repeats):
-            stream_batch()
-            start = time.perf_counter()
-            report = auditor.audit()
-            times["streaming_audit"].append(time.perf_counter() - start)
+    # Audit-vs-rebuild loop: after each batch, the streaming re-audit
+    # races the from-scratch rebuild it replaces on identical state.
+    for _ in range(repeats):
+        stream_batch()
+        start = time.perf_counter()
+        report = auditor.audit()
+        times["streaming_audit"].append(time.perf_counter() - start)
 
-            start = time.perf_counter()
-            frozen, frozen_scores = store.to_population()
-            result = get_algorithm(auditor.algorithm).run(
-                frozen,
-                frozen_scores,
-                hist_spec=store.hist_spec,
-                metric=auditor.metric,
-                rng=auditor.seed,
-            )
-            times["full_rebuild"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        frozen, frozen_scores = store.to_population()
+        result = get_algorithm(auditor.algorithm).run(
+            frozen,
+            frozen_scores,
+            hist_spec=store.hist_spec,
+            metric=auditor.metric,
+            rng=auditor.seed,
+        )
+        times["full_rebuild"].append(time.perf_counter() - start)
 
-            assert report.unfairness == result.unfairness, (
-                "streaming audit diverged from the batch rebuild "
-                f"({report.unfairness!r} != {result.unfairness!r})"
-            )
-            batch_groups = sorted(
-                tuple(sorted(p.constraints)) for p in result.partitioning
-            )
-            stream_groups = sorted(tuple(sorted(g)) for g in report.groups)
-            assert stream_groups == batch_groups, "streaming chose different groups"
-    finally:
-        auditor.close()
+        assert report.unfairness == result.unfairness, (
+            "streaming audit diverged from the batch rebuild "
+            f"({report.unfairness!r} != {result.unfairness!r})"
+        )
+        batch_groups = sorted(
+            tuple(sorted(p.constraints)) for p in result.partitioning
+        )
+        stream_groups = sorted(tuple(sorted(g)) for g in report.groups)
+        assert stream_groups == batch_groups, "streaming chose different groups"
     entry["mutations_per_second"] = (
         STREAMING_DELTA_BATCH * len(intake) / sum(intake)
     )
@@ -499,7 +497,7 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
 
     * **kernel comparison** — build the table1 atom table, normalise its
       count rows into the pmf stack the engine feeds the kernels, and time
-      ``pairwise_matrix`` under every available backend on the same
+      ``pairwise_matrix`` under every kernel backend on the same
       (capped, see :data:`KERNEL_STACK_CAP`) stack.  Every backend's
       matrix is asserted ``np.array_equal`` to the first — the bench
       doubles as a parity check at stacks the unit tests never reach.
@@ -514,7 +512,7 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
     import numpy as np
 
     from repro.engine.atoms import AtomTable
-    from repro.engine.kernels import kernel_backend_status, pairwise_matrix
+    from repro.engine.kernels import KERNEL_BACKENDS, pairwise_matrix
     from repro.metrics import get_metric
     from repro.service.cache import CrossJobCache, cached_audit
 
@@ -536,7 +534,7 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
         "backends": {},
     }
     reference = None
-    for name in kernel_backend_status()["available"]:
+    for name in KERNEL_BACKENDS:
         times = []
         matrix = None
         for _ in range(repeats):
@@ -614,7 +612,7 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
 
 def run_kernels(quick: bool, repeats: int) -> dict:
     """The compiled-kernel + cross-job-cache sweep (one dict per population)."""
-    from repro.engine.kernels import kernel_backend_status
+    from repro.engine.kernels import KERNEL_BACKENDS
 
     populations = SCALING_POPULATIONS_QUICK if quick else SCALING_POPULATIONS
     cases = []
@@ -643,10 +641,7 @@ def run_kernels(quick: bool, repeats: int) -> dict:
         "metric": "emd",
         "stack_cap": KERNEL_STACK_CAP,
         "repeats": repeats,
-        "status": {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in kernel_backend_status().items()
-        },
+        "status": {"registered": list(KERNEL_BACKENDS)},
         "cases": cases,
     }
 
@@ -1017,8 +1012,11 @@ def validate_bench_payload(payload: dict) -> None:
         ):
             if not isinstance(case.get(key), kind):
                 fail(f"cases[{index}].{key} must be {kind.__name__}")
-        if case["backend"] not in BACKENDS:
-            fail(f"cases[{index}].backend {case['backend']!r} not in {BACKENDS}")
+        if case["backend"] not in RECORDED_BACKENDS:
+            fail(
+                f"cases[{index}].backend {case['backend']!r} "
+                f"not in {RECORDED_BACKENDS}"
+            )
         if case["wall_seconds"] < 0:
             fail(f"cases[{index}].wall_seconds is negative")
         for name in _ENGINE_COUNTERS:
@@ -1270,10 +1268,9 @@ def run_suite(
     for label, scenario in _suite(quick):
         scores = scenario.functions[BENCH_FUNCTION](scenario.population)
         for algorithm in PAPER_ALGORITHMS:
-            for backend in BACKENDS:
-                print(f"[{label}] {algorithm} / {backend} ...", flush=True)
-                cases.append(_run_case(scenario, scores, algorithm, backend))
-                print(f"    {cases[-1]['wall_seconds']:.3f}s", flush=True)
+            print(f"[{label}] {algorithm} ...", flush=True)
+            cases.append(_run_case(scenario, scores, algorithm))
+            print(f"    {cases[-1]['wall_seconds']:.3f}s", flush=True)
         if overhead is None:
             # The fused kernels cut the A/B audit to milliseconds, so the
             # measurement needs more interleaved repeats than the section

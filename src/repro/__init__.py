@@ -49,21 +49,13 @@ from repro.core.unfairness import UnfairnessEvaluator, unfairness
 from repro.engine import (
     Deadline,
     EvaluationEngine,
-    FaultConfig,
-    FaultInjectionBackend,
-    RetryingBackend,
-    RetryPolicy,
     SearchContext,
     StepDeadline,
-    available_backends,
 )
 from repro.exceptions import (
     BackendError,
-    BackendExhaustedError,
-    BackendTimeoutError,
     BudgetExceededError,
     CheckpointError,
-    CorruptResultError,
     DeadlineExceededError,
     JobRejectedError,
     JobStateError,
@@ -167,12 +159,7 @@ __all__ = [
     # evaluation engine
     "EvaluationEngine",
     "SearchContext",
-    "available_backends",
     # resilience & fault injection
-    "RetryPolicy",
-    "RetryingBackend",
-    "FaultConfig",
-    "FaultInjectionBackend",
     "CheckpointStore",
     # deadlines
     "Deadline",
@@ -250,9 +237,6 @@ __all__ = [
     "BudgetExceededError",
     "BackendError",
     "WorkerCrashError",
-    "BackendTimeoutError",
-    "CorruptResultError",
-    "BackendExhaustedError",
     "CheckpointError",
     "DeadlineExceededError",
     "ServiceError",

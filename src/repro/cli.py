@@ -40,38 +40,29 @@ unifies the engine flags.
 The four engine-using subcommands (``audit``, ``compare``, ``workload``,
 ``experiment``) share one flag surface:
 
-* ``--engine-backend {sequential,process}`` / ``--engine-workers N`` select
-  the evaluation engine's execution backend (``--workers`` keeps meaning
-  *workers in the marketplace*, i.e. population size, on ``generate`` and
-  ``experiment``);
+* ``--engine-kernel {numpy,scalar}`` selects the distance-kernel backend;
 * ``--trace-out FILE`` writes the run's span tree and metrics snapshot as
   JSON (see ``docs/observability.md``);
-* ``--log-level LEVEL`` configures structured logging;
-* ``--engine-retries`` / ``--engine-timeout`` / ``--engine-retry-backoff``
-  / ``--engine-no-fallback`` configure the backend's fault tolerance and
-  ``--inject-faults SPEC`` enables deterministic chaos testing (see
-  ``docs/robustness.md``).
+* ``--log-level LEVEL`` configures structured logging.
+
+``--workers`` means *workers in the marketplace*, i.e. population size, on
+``generate`` and ``experiment``.
 
 ``experiment`` additionally supports ``--checkpoint-dir DIR`` (persist
 every completed cell atomically) and ``--resume DIR`` (skip cells already
 checkpointed there; results are bit-identical to an uninterrupted run).
-
-The pre-observability spellings (``--backend`` everywhere, ``--workers``
-for the pool size on ``audit``/``compare``) still parse as hidden aliases
-but emit a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Sequence
 
 from repro.core.algorithms import PAPER_ALGORITHMS, available_algorithms
 from repro.core.audit import FairnessAuditor
 from repro.core.histogram import HistogramSpec
-from repro.engine import KERNEL_BACKENDS, available_backends
+from repro.engine import KERNEL_BACKENDS
 from repro.io.serialization import (
     load_population,
     save_experiment_result,
@@ -104,13 +95,6 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _nonnegative_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
-    return parsed
-
-
 def _positive_float(value: str) -> float:
     parsed = float(value)
     if parsed <= 0:
@@ -118,108 +102,17 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _fault_spec(value: str) -> "FaultConfig":
-    from repro.engine.faults import FaultConfig
-
-    try:
-        return FaultConfig.parse(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Hidden alias for a renamed option: stores into the new destination
-    and emits a :class:`DeprecationWarning` (shown once per process under
-    the default warning filter)."""
-
-    def __init__(self, option_strings, dest, preferred: str = "", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self.preferred = preferred
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self.preferred} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
-
-
-def _add_engine_arguments(
-    parser: argparse.ArgumentParser,
-    alias_backend: bool = False,
-    alias_workers: bool = False,
-) -> None:
-    """The shared engine/observability flag surface of the four engine-using
-    subcommands: ``--engine-backend`` / ``--engine-workers`` / ``--trace-out``
-    / ``--log-level``, plus hidden deprecated aliases for the old spellings
-    (``--backend``, and ``--workers`` where it meant the pool size)."""
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The shared engine/observability flag surface of the engine-using
+    subcommands: ``--engine-kernel`` / ``--trace-out`` / ``--log-level``."""
     group = parser.add_argument_group("evaluation engine")
-    group.add_argument(
-        "--engine-backend",
-        dest="engine_backend",
-        default="sequential",
-        choices=sorted(available_backends()),
-        help="evaluation backend: sequential (default) or a process pool",
-    )
-    group.add_argument(
-        "--engine-workers",
-        dest="engine_workers",
-        type=_positive_int,
-        default=None,
-        help="worker processes for --engine-backend process (default: all cores)",
-    )
     group.add_argument(
         "--engine-kernel",
         dest="engine_kernel",
         default=None,
         choices=list(KERNEL_BACKENDS),
-        help="distance-kernel backend: numpy (default, fused vectorised), "
-        "scalar (per-pair reference), or numba (JIT-compiled; requires the "
-        "optional numba dependency and a passing bit-identity self-check). "
-        "All backends produce bit-identical results",
-    )
-    group.add_argument(
-        "--engine-retries",
-        dest="engine_retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="retry a failed evaluation batch up to N times (default: 3 once "
-        "any resilience flag is set)",
-    )
-    group.add_argument(
-        "--engine-timeout",
-        dest="engine_timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-batch deadline; timed-out chunks are re-dispatched",
-    )
-    group.add_argument(
-        "--engine-retry-backoff",
-        dest="engine_retry_backoff",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="base delay between retries (doubles each attempt, with jitter)",
-    )
-    group.add_argument(
-        "--engine-no-fallback",
-        dest="engine_no_fallback",
-        action="store_true",
-        help="raise BackendExhaustedError instead of degrading to the "
-        "sequential backend when retries run out",
-    )
-    group.add_argument(
-        "--inject-faults",
-        dest="inject_faults",
-        type=_fault_spec,
-        default=None,
-        metavar="SPEC",
-        help="deterministic chaos mode, e.g. "
-        "'crash=0.3,hang=0.1,corrupt=0.05,seed=1' (see docs/robustness.md)",
+        help="distance-kernel backend: numpy (default, fused vectorised) or "
+        "scalar (per-pair reference). Both produce bit-identical results",
     )
     group.add_argument(
         "--trace-out",
@@ -235,22 +128,6 @@ def _add_engine_arguments(
         choices=["debug", "info", "warning", "error"],
         help="enable structured logging at this level",
     )
-    if alias_backend:
-        parser.add_argument(
-            "--backend",
-            dest="engine_backend",
-            action=_DeprecatedAlias,
-            preferred="--engine-backend",
-            choices=sorted(available_backends()),
-        )
-    if alias_workers:
-        parser.add_argument(
-            "--workers",
-            dest="engine_workers",
-            action=_DeprecatedAlias,
-            preferred="--engine-workers",
-            type=_positive_int,
-        )
 
 
 def _unit_interval(value: str) -> float:
@@ -339,43 +216,6 @@ def _repair_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _resilience(args: argparse.Namespace) -> "tuple[object, object]":
-    """(retry_policy, fault_config) for one command.
-
-    Both stay ``None`` unless a resilience flag was given, keeping the
-    plain backends on their zero-overhead path.  Hang injection without an
-    explicit ``--engine-timeout`` gets a 5-second default so injected
-    stragglers are re-dispatched instead of stalling the run.
-    """
-    from repro.engine.resilience import RetryPolicy
-
-    faults = getattr(args, "inject_faults", None)
-    timeout = getattr(args, "engine_timeout", None)
-    if timeout is None and faults is not None and faults.hang_rate > 0:
-        timeout = 5.0
-    wants_policy = any(
-        getattr(args, name, None) is not None
-        for name in ("engine_retries", "engine_retry_backoff")
-    ) or timeout is not None or getattr(args, "engine_no_fallback", False)
-    if not wants_policy and faults is None:
-        return None, None
-    policy = RetryPolicy(
-        max_retries=(
-            args.engine_retries
-            if getattr(args, "engine_retries", None) is not None
-            else 3
-        ),
-        timeout_seconds=timeout,
-        backoff_seconds=(
-            args.engine_retry_backoff
-            if getattr(args, "engine_retry_backoff", None) is not None
-            else 0.05
-        ),
-        fallback_sequential=not getattr(args, "engine_no_fallback", False),
-    )
-    return policy, faults
-
-
 def _observability(args: argparse.Namespace) -> "tuple[object, MetricsRegistry | None]":
     """(tracer, metrics) for one command: real instances only when the run
     is being traced, so untraced runs keep the no-op fast path."""
@@ -436,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append per-group ASCII score histograms to the report",
     )
-    _add_engine_arguments(audit, alias_backend=True, alias_workers=True)
+    _add_engine_arguments(audit)
 
     compare = subparsers.add_parser(
         "compare", help="run every algorithm on one scoring function"
@@ -444,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("population", help="population CSV written by 'generate'")
     compare.add_argument("--function", default="f1", help="scoring function f1..f9")
     compare.add_argument("--seed", type=int, default=0, help="seed for randomised algorithms")
-    _add_engine_arguments(compare, alias_backend=True, alias_workers=True)
+    _add_engine_arguments(compare)
 
     significance = subparsers.add_parser(
         "significance",
@@ -552,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from a checkpoint directory, skipping completed cells "
         "(implies --checkpoint-dir DIR); bit-identical to an uninterrupted run",
     )
-    _add_engine_arguments(experiment, alias_backend=True)
+    _add_engine_arguments(experiment)
     _add_repair_arguments(experiment)
 
     serve = subparsers.add_parser(
@@ -656,15 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="coalesce up to N queued jobs with identical specs (up to "
         "id/priority/tenant) into one engine dispatch; 1 disables batching",
-    )
-    serve.add_argument(
-        "--shard-workers",
-        dest="shard_workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="fan each job's engine work out across N worker processes "
-        "by atom-range (bit-identical to sequential; default: in-process)",
     )
     serve.add_argument(
         "--chaos",
@@ -850,7 +681,6 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _command_audit(args: argparse.Namespace) -> int:
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     with tracer.span(
         "cli.audit", function=args.function, algorithm=args.algorithm
     ) as root:
@@ -866,13 +696,9 @@ def _command_audit(args: argparse.Namespace) -> int:
             function,
             algorithm=args.algorithm,
             rng=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
         )
         with tracer.span("cli.render"):
             rendered = report.render(histograms=args.histograms)
@@ -895,7 +721,6 @@ def _resolve_function(name: str):
 
 def _command_compare(args: argparse.Namespace) -> int:
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     population = load_population(args.population)
     function = _resolve_function(args.function)
     if function is None:
@@ -913,13 +738,9 @@ def _command_compare(args: argparse.Namespace) -> int:
                 population,
                 scores,
                 rng=args.seed,
-                backend=args.engine_backend,
-                workers=args.engine_workers,
                 kernel=args.engine_kernel,
                 tracer=tracer,
                 metrics=metrics,
-                retry_policy=retry_policy,
-                fault_config=fault_config,
             )
             attributes = ",".join(result.partitioning.attributes_used()) or "(none)"
             print(
@@ -1072,20 +893,15 @@ def _command_workload(args: argparse.Namespace) -> int:
         print(f"malformed task spec: {exc!r}", file=sys.stderr)
         return 2
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     with tracer.span("cli.workload", n_tasks=len(tasks)):
         summary = audit_workload(
             population,
             tasks,
             algorithm=args.algorithm,
             rng=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             repair_strategy=args.strategy,
             repair_options=_repair_options(args) if args.strategy else None,
         )
@@ -1099,7 +915,6 @@ def _command_workload(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     checkpoint_dir = args.resume or args.checkpoint_dir
     resume = args.resume is not None
     if args.name == "figure1":
@@ -1108,13 +923,9 @@ def _command_experiment(args: argparse.Namespace) -> int:
             scenario,
             algorithms=("exhaustive", "balanced", "unbalanced"),
             seed=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             checkpoint=checkpoint_dir,
             resume=resume,
         )
@@ -1133,13 +944,9 @@ def _command_experiment(args: argparse.Namespace) -> int:
             scenario,
             algorithms=PAPER_ALGORITHMS,
             seed=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             checkpoint=checkpoint_dir,
             resume=resume,
         )
@@ -1209,7 +1016,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     if getattr(args, "log_level", None):
         setup_logging(args.log_level)
-    retry_policy, _ = _resilience(args)
     tenant_weights = None
     if args.tenant_weights:
         tenant_weights = {}
@@ -1260,14 +1066,12 @@ def _command_serve(args: argparse.Namespace) -> int:
             rate_limit=args.rate_limit,
             rate_limit_burst=args.rate_limit_burst,
             batch_max=args.batch_max,
-            shard_workers=args.shard_workers,
             chaos=chaos,
             request_timeout=(
                 args.request_timeout if args.request_timeout > 0 else None
             ),
             watchdog_seconds=args.watchdog_seconds,
         ),
-        retry_policy=retry_policy,
     )
     # The handlers only set an event; the drain happens on this thread, so
     # in-flight jobs always finish before the process exits.

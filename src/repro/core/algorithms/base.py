@@ -12,8 +12,8 @@ unfairness, wall-clock runtime and search-effort statistics — the quantities
 the paper reports in Tables 1–3.
 
 Evaluation is served by one :class:`~repro.engine.engine.EvaluationEngine`
-per run (cache, vectorized kernels, incremental updates, pluggable
-backends); algorithms receive it inside a
+per run (cache, vectorized kernels, incremental updates); algorithms
+receive it inside a
 :class:`~repro.engine.context.SearchContext` and never construct evaluator
 machinery themselves.
 """
@@ -30,7 +30,6 @@ from repro.core.histogram import HistogramSpec
 from repro.core.partition import Partition, Partitioning
 from repro.core.population import Population
 from repro.core.schema import WorkerSchema
-from repro.engine.backends import ExecutionBackend
 from repro.engine.context import SearchContext
 from repro.engine.engine import EvaluationEngine
 from repro.exceptions import PartitioningError
@@ -77,10 +76,9 @@ class AlgorithmResult:
     pair_distances_full:
         The naive dense cost — C(k, 2) summed over every query — that a
         cache-less, closed-form-less evaluator would have paid.
-    backend:
-        Execution backend the run used (``sequential`` / ``process``).
-    workers:
-        Degree of parallelism of that backend.
+    backend, workers:
+        Always ``"sequential"`` / ``1`` (every run scores in-process); kept
+        because checkpoints and audit JSON record them.
     deadline_hit:
         True when the search stopped at an iteration boundary because its
         cooperative deadline expired; the partitioning is then the partial
@@ -112,8 +110,7 @@ class AlgorithmResult:
             f"attributes    : {', '.join(self.partitioning.attributes_used()) or '(none)'}",
             f"runtime       : {self.runtime_seconds:.4f}s "
             f"({self.n_evaluations} partitioning evaluations)",
-            f"engine        : backend={self.backend} workers={self.workers} "
-            f"cache_hits={self.cache_hits} "
+            f"engine        : cache_hits={self.cache_hits} "
             f"pair_distances={self.pair_distances_computed}/{self.pair_distances_full}",
         ]
         if self.deadline_hit:
@@ -140,13 +137,9 @@ class PartitioningAlgorithm(abc.ABC):
         metric: "str | HistogramDistance" = "emd",
         rng: "np.random.Generator | int | None" = None,
         weighting: str = "uniform",
-        backend: "str | ExecutionBackend | None" = None,
-        workers: "int | None" = None,
         engine_mode: str = "incremental",
         tracer: "Tracer | NullTracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        retry_policy=None,
-        fault_config=None,
         use_atoms: "bool | None" = None,
         deadline=None,
         engine_factory=None,
@@ -170,11 +163,6 @@ class PartitioningAlgorithm(abc.ABC):
             ``"uniform"`` (the paper's objective) or ``"size"`` (pairs
             weighted by group sizes; see
             :class:`~repro.core.unfairness.UnfairnessEvaluator`).
-        backend:
-            Execution backend for batched candidate evaluation
-            (``"sequential"`` default, ``"process"`` for a worker pool).
-        workers:
-            Pool size for the process backend.
         engine_mode:
             ``"incremental"`` (default) or ``"full"`` — see
             :class:`~repro.engine.engine.EvaluationEngine`.
@@ -183,9 +171,6 @@ class PartitioningAlgorithm(abc.ABC):
             :mod:`repro.obs`).  With a real tracer the whole run is wrapped
             in an ``algorithm.<name>`` span; the default no-op tracer makes
             the instrumentation free.
-        retry_policy, fault_config:
-            Fault tolerance and fault injection for the backend (see
-            :mod:`repro.engine.resilience` / :mod:`repro.engine.faults`).
         use_atoms:
             Atom-table fast path switch forwarded to the engine (default
             on in incremental mode; ``False`` forces the member-array cost
@@ -205,9 +190,8 @@ class PartitioningAlgorithm(abc.ABC):
             re-audits instead of rebuilding per run.
         kernel:
             Kernel backend for the distance computations (``"numpy"`` /
-            ``"scalar"`` / ``"numba"``; ``None`` = default).  Bit-identical
-            across backends — purely a cost-model switch, like
-            ``use_atoms``.
+            ``"scalar"``; ``None`` = default).  Bit-identical across
+            backends — purely a cost-model switch, like ``use_atoms``.
         """
         if population.size == 0:
             raise PartitioningError("cannot partition an empty population")
@@ -218,13 +202,9 @@ class PartitioningAlgorithm(abc.ABC):
             hist_spec=hist_spec,
             metric=metric,
             weighting=weighting,
-            backend=backend,
-            workers=workers,
             mode=engine_mode,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             use_atoms=use_atoms,
             kernel=kernel,
         )
@@ -243,7 +223,6 @@ class PartitioningAlgorithm(abc.ABC):
                 f"algorithm.{self.name}",
                 algorithm=self.name,
                 population=population.size,
-                backend=engine.backend.name,
             ) as run_span:
                 partitions = self._search(context)
                 partitioning = Partitioning(partitions, population.size)

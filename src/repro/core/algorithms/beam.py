@@ -18,8 +18,7 @@ The search space is balanced trees (every leaf constrained on the same
 attribute sequence), so its cost per level is ``beam_width x remaining
 attributes`` evaluations — polynomial, unlike the full unbalanced space.
 All of one level's expansions are scored as a single batch through
-``engine.score_many``, which fans out across cores under the process
-backend.
+``engine.score_many``.
 """
 
 from __future__ import annotations

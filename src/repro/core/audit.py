@@ -147,12 +147,8 @@ class FairnessAuditor:
         scoring: "np.ndarray | object",
         algorithm: str = "balanced",
         rng: "np.random.Generator | int | None" = None,
-        backend: "str | None" = None,
-        workers: "int | None" = None,
         tracer=None,
         metrics=None,
-        retry_policy=None,
-        fault_config=None,
         deadline=None,
         kernel: "str | None" = None,
         **algorithm_options: object,
@@ -161,12 +157,8 @@ class FairnessAuditor:
 
         ``scoring`` is either a callable mapping the population to a score
         vector (any :class:`~repro.marketplace.scoring.ScoringFunction`) or a
-        precomputed score array.  ``backend`` / ``workers`` select the
-        evaluation engine's execution backend (see
-        :class:`~repro.engine.engine.EvaluationEngine`); ``tracer`` /
-        ``metrics`` attach observability hooks (see :mod:`repro.obs`);
-        ``retry_policy`` / ``fault_config`` attach fault tolerance and chaos
-        injection (see ``docs/robustness.md``); ``deadline`` caps the search
+        precomputed score array.  ``tracer`` / ``metrics`` attach
+        observability hooks (see :mod:`repro.obs`); ``deadline`` caps the search
         cooperatively (see :mod:`repro.engine.deadline` — an expired run
         returns a flagged partial result).
         """
@@ -182,12 +174,8 @@ class FairnessAuditor:
                 metric=self.metric,
                 rng=rng,
                 weighting=self.weighting,
-                backend=backend,
-                workers=workers,
                 tracer=tracer,
                 metrics=metrics,
-                retry_policy=retry_policy,
-                fault_config=fault_config,
                 deadline=deadline,
                 kernel=kernel,
             )
@@ -212,12 +200,8 @@ class FairnessAuditor:
         task: object,
         algorithm: str = "balanced",
         rng: "np.random.Generator | int | None" = None,
-        backend: "str | None" = None,
-        workers: "int | None" = None,
         tracer=None,
         metrics=None,
-        retry_policy=None,
-        fault_config=None,
         kernel: "str | None" = None,
         **algorithm_options: object,
     ) -> AuditReport:
@@ -237,12 +221,8 @@ class FairnessAuditor:
             task.scoring,
             algorithm=algorithm,
             rng=rng,
-            backend=backend,
-            workers=workers,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             kernel=kernel,
             **algorithm_options,
         )
@@ -252,8 +232,6 @@ class FairnessAuditor:
         scoring: "np.ndarray | object",
         algorithms: "tuple[str, ...] | list[str]",
         rng_seed: int = 0,
-        backend: "str | None" = None,
-        workers: "int | None" = None,
         **algorithm_options: object,
     ) -> dict[str, AuditReport]:
         """Audit with several algorithms, one report each (same scores)."""
@@ -263,8 +241,6 @@ class FairnessAuditor:
                 scores,
                 algorithm=name,
                 rng=rng_seed,
-                backend=backend,
-                workers=workers,
                 **algorithm_options,
             )
             for name in algorithms

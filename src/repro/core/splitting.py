@@ -19,8 +19,8 @@ Both accept any evaluator implementing the query protocol —
 reference :class:`~repro.core.unfairness.UnfairnessEvaluator` or the
 :class:`~repro.engine.engine.EvaluationEngine`.  When the evaluator exposes
 the engine's batch/incremental extensions (``score_many``, ``incremental``),
-the candidate scoring fans out through the execution backend and reuses the
-sibling-sibling pair sums across candidates; otherwise it falls back to one
+the candidates are scored as one batch that reuses the sibling-sibling
+pair sums across candidates; otherwise it falls back to one
 query per candidate.
 """
 

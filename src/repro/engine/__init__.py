@@ -3,35 +3,21 @@
 See :mod:`repro.engine.engine` for the entry point
 (:class:`EvaluationEngine`), :mod:`repro.engine.kernels` for the vectorized
 distance kernels, :mod:`repro.engine.incremental` for O(k·Δ) frontier
-updates, :mod:`repro.engine.backends` for the execution backends,
-:mod:`repro.engine.resilience` for retry/timeout/fallback hardening, and
-:mod:`repro.engine.faults` for deterministic fault injection, and
-:mod:`repro.engine.streaming` for O(Δ) re-audits of mutable populations.
+updates, and :mod:`repro.engine.streaming` for O(Δ) re-audits of mutable
+populations.
 """
 
-from repro.engine.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SequentialBackend,
-    ShardedBackend,
-    available_backends,
-    get_backend,
-)
 from repro.engine.context import SearchContext
 from repro.engine.deadline import Deadline, StepDeadline
 from repro.engine.engine import EngineStats, EvaluationEngine
-from repro.engine.faults import FaultConfig, FaultInjectionBackend
-from repro.engine.resilience import RetryingBackend, RetryPolicy, validate_batch
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
     DEFAULT_KERNEL,
     KERNEL_BACKENDS,
-    available_kernel_backends,
     average_from_matrix,
     cross_matrix,
     full_objective,
     has_vectorized_kernel,
-    kernel_backend_status,
     pairwise_matrix,
     resolve_kernel_backend,
 )
@@ -55,17 +41,6 @@ __all__ = [
     "SearchContext",
     "Deadline",
     "StepDeadline",
-    "ExecutionBackend",
-    "SequentialBackend",
-    "ProcessPoolBackend",
-    "ShardedBackend",
-    "available_backends",
-    "get_backend",
-    "RetryPolicy",
-    "RetryingBackend",
-    "validate_batch",
-    "FaultConfig",
-    "FaultInjectionBackend",
     "IncrementalObjective",
     "FullRecomputeObjective",
     "cross_matrix",
@@ -75,8 +50,6 @@ __all__ = [
     "has_vectorized_kernel",
     "KERNEL_BACKENDS",
     "DEFAULT_KERNEL",
-    "available_kernel_backends",
-    "kernel_backend_status",
     "resolve_kernel_backend",
     "RepricingReport",
     "group_pmfs",

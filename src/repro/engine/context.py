@@ -3,8 +3,8 @@
 One object bundles everything a search needs — the population being
 partitioned, the :class:`~repro.engine.engine.EvaluationEngine` that serves
 every objective query, and the run's randomness source — so algorithms stop
-owning evaluator plumbing and new engine capabilities (backends, modes,
-counters) reach all of them at once.
+owning evaluator plumbing and new engine capabilities (modes, counters)
+reach all of them at once.
 """
 
 from __future__ import annotations
@@ -80,11 +80,3 @@ class SearchContext:
     def metrics(self):
         """The engine's metrics registry."""
         return self.engine.metrics
-
-    @property
-    def backend_degraded(self) -> bool:
-        """True when the engine's backend fell back to sequential execution
-        after its worker pool became irrecoverable (see
-        :mod:`repro.engine.resilience`); searches can consult this to shrink
-        batch sizes once parallelism is gone."""
-        return bool(getattr(self.engine.backend, "degraded", False))

@@ -5,16 +5,18 @@ harness and the audit layer make flows through one engine instance.  The
 engine binds a population, a score vector, a histogram spec, a metric and
 a weighting — exactly like :class:`~repro.core.unfairness.UnfairnessEvaluator`,
 which remains the straight-line reference implementation — and adds the
-three things the reference deliberately does not have:
+two things the reference deliberately does not have:
 
 * a **value cache** keyed on the multiset of partition histograms (the
   objective depends on nothing else), so re-visited partitionings cost a
   dictionary lookup;
 * **vectorized kernels** (:mod:`repro.engine.kernels`) and an
   **incremental objective** (:mod:`repro.engine.incremental`) so a greedy
-  step pays O(k·Δ) instead of O(k²);
-* **pluggable backends** (:mod:`repro.engine.backends`) so candidate
-  batches fan out across processes.
+  step pays O(k·Δ) instead of O(k²).
+
+Every query runs in-process: one greedy query costs O(atoms × bins),
+too little work for inter-process dispatch to pay for, so parallelism
+lives at the job level (the service's queue workers) instead.
 
 The engine also keeps :class:`EngineStats` — evaluation counts, cache
 hits, and pairwise distances actually materialised vs the naive dense
@@ -38,7 +40,6 @@ from repro.core.histogram import HistogramSpec
 from repro.core.partition import Partition, Partitioning
 from repro.core.population import Population
 from repro.engine.atoms import AtomTable
-from repro.engine.backends import ExecutionBackend, get_backend
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
     KERNEL_COUNTER_KEYS,
@@ -70,6 +71,8 @@ _UNRESOLVED = object()
 class EngineStats:
     """Search-effort accounting, reported through ``AlgorithmResult``.
 
+    ``backend`` / ``workers`` always read ``"sequential"`` / ``1``; they
+    stay because checkpoints and audit JSON record them.
     ``pair_distances_full`` is the *naive dense cost*: C(k, 2) summed over
     every objective query, i.e. what the evaluation would cost if each query
     materialised every pair (the seed's model).  ``pair_distances_computed``
@@ -110,20 +113,6 @@ class EvaluationEngine:
     ----------
     population, scores, hist_spec, metric, weighting:
         As in :class:`~repro.core.unfairness.UnfairnessEvaluator`.
-    backend:
-        Backend name (``"sequential"`` / ``"process"``) or an
-        :class:`~repro.engine.backends.ExecutionBackend` instance; batch
-        queries through :meth:`score_many` run on it.
-    workers:
-        Worker count for the process backend (ignored by sequential).
-    retry_policy:
-        Optional :class:`~repro.engine.resilience.RetryPolicy` attached to
-        the backend (timeouts, bounded retry with backoff, sequential
-        degradation); ignored when ``backend`` is already an instance.
-    fault_config:
-        Optional :class:`~repro.engine.faults.FaultConfig` injecting seeded
-        crashes/hangs/corruption into the backend (chaos mode / tests);
-        ignored when ``backend`` is already an instance.
     mode:
         ``"incremental"`` (default: cache + fast paths + O(k·Δ) frontier
         updates) or ``"full"`` (dense recomputation every query — the
@@ -144,11 +133,11 @@ class EvaluationEngine:
         benchmark's "member" baseline.  Always off in ``mode="full"``.
         Both paths are bit-identical; this is purely a cost-model switch.
     kernel:
-        Kernel backend name (``"numpy"`` / ``"scalar"`` / ``"numba"``, see
+        Kernel backend name (``"numpy"`` / ``"scalar"``, see
         :mod:`repro.engine.kernels`) deciding *how* distance blocks are
-        computed.  All backends are bit-identical (the parity harness pins
-        this), so like ``use_atoms`` this is purely a cost-model switch;
-        ``None`` means the default fused-numpy kernels.
+        computed.  Both are bit-identical (the parity harness pins this),
+        so like ``use_atoms`` this is purely a cost-model switch; ``None``
+        means the default fused-numpy kernels.
     atom_table:
         Optional prebuilt :class:`~repro.engine.atoms.AtomTable` for this
         exact (population, bin spec) binding — the service's cross-job
@@ -167,13 +156,9 @@ class EvaluationEngine:
         hist_spec: HistogramSpec | None = None,
         metric: "str | HistogramDistance" = "emd",
         weighting: str = "uniform",
-        backend: "str | ExecutionBackend | None" = None,
-        workers: "int | None" = None,
         mode: str = "incremental",
         tracer: "Tracer | NullTracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        retry_policy=None,
-        fault_config=None,
         use_atoms: "bool | None" = None,
         kernel: "str | None" = None,
         atom_table: "AtomTable | None" = None,
@@ -204,18 +189,13 @@ class EvaluationEngine:
             )
         self.scores = scores
         self._bin_idx = self.spec.bin_indices(scores)
-        self.backend = get_backend(
-            backend, workers, policy=retry_policy, faults=fault_config
-        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Hot-path guard: span creation (and timing observation) is skipped
         #: entirely unless a real tracer was passed in.
         self._trace = bool(getattr(self.tracer, "enabled", False))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._synced_stats: dict[str, int] = {}
-        self.stats = EngineStats(
-            backend=self.backend.name, workers=self.backend.workers, kernel=self.kernel
-        )
+        self.stats = EngineStats(kernel=self.kernel)
         self._pmf_cache: dict[Partition, np.ndarray] = {}
         self._value_cache: "OrderedDict[tuple, float]" = OrderedDict()
         if seed_value_cache:
@@ -233,18 +213,6 @@ class EvaluationEngine:
         if atom_table is not None and self._use_atoms:
             self._atom_table = atom_table
         self._atom_rows_cache: dict[Partition, object] = {}
-        #: Monotone version of the atom-count binding.  The process backend
-        #: keys its shared-memory publication on (engine id, atom_version),
-        #: so a streaming engine that swaps in a new table (see
-        #: :meth:`~repro.engine.streaming.StreamingEngine.rebind`) republishes
-        #: the cube, while an unchanged binding reuses the live segments.
-        self.atom_version = 0
-        # True when the metric's average_pairwise is a closed form that never
-        # materialises individual pairs (EMD's sorted-prefix-sum path).
-        self._closed_form_average = (
-            type(self.metric).average_pairwise
-            is not HistogramDistance.average_pairwise
-        )
 
     # ---------------------------------------------------------------- atoms
 
@@ -465,59 +433,29 @@ class EvaluationEngine:
     def score_many(
         self, candidates: Sequence[Sequence[Partition]]
     ) -> list[float]:
-        """Objective of every candidate partitioning, via the backend."""
+        """Objective of every candidate partitioning, in input order."""
         candidates = list(candidates)
         if not self._trace:
-            return self.backend.score_partitionings(self, candidates)
+            return [self.unfairness(candidate) for candidate in candidates]
         with self.tracer.span(
-            "engine.score_many",
-            n_candidates=len(candidates),
-            backend=self.backend.name,
+            "engine.score_many", n_candidates=len(candidates)
         ) as span:
-            values = self.backend.score_partitionings(self, candidates)
+            values = [self.unfairness(candidate) for candidate in candidates]
         self.metrics.observe("engine.score_many_seconds", span.duration_seconds)
         return values
 
-    def score_rows_many(self, tasks: "Sequence[list]") -> list[float]:
-        """Objective of every wire-format candidate, via the backend.
-
-        Each task is a list of ``("a", atom_rows)`` / ``("m", member_idx)``
-        entries — one per partition of the candidate.  This is the atom-path
-        sibling of :meth:`score_many`: candidates ship as atom-id lists, so
-        a process-pool dispatch is O(atoms) per partition instead of
-        O(members).
-        """
-        tasks = list(tasks)
-        if not self._trace:
-            return self.backend.score_histogram_tasks(self, tasks)
-        with self.tracer.span(
-            "engine.score_rows_many",
-            n_candidates=len(tasks),
-            backend=self.backend.name,
-        ) as span:
-            values = self.backend.score_histogram_tasks(self, tasks)
-        self.metrics.observe("engine.score_many_seconds", span.duration_seconds)
-        return values
-
-    def score_tasks_inline(self, tasks: "Sequence[list]") -> list[float]:
-        """Score wire-format candidates in-process (sequential backends'
-        histogram-task path), with the same value cache and effort
-        accounting as :meth:`unfairness` — same histograms produce the same
-        cache keys, hits and counter increments on either path."""
-        return [self._score_pmf_stack(*self._task_pmfs(task)) for task in tasks]
-
-    def _task_pmfs(self, task: "Sequence[tuple]") -> "tuple[np.ndarray, list[int]]":
-        """Materialise one wire-format candidate as (pmf stack, sizes)."""
-        pmfs = np.empty((len(task), self.spec.bins), dtype=np.float64)
+    def _rows_pmfs(
+        self, groups: "Sequence[np.ndarray]"
+    ) -> "tuple[np.ndarray, list[int]]":
+        """(pmf stack, member sizes) of partitions given as atom-row arrays:
+        the same integer counts divided by the same integer sizes as the
+        member path, hence the same pmf bytes."""
+        table = self.atom_table
+        pmfs = np.empty((len(groups), self.spec.bins), dtype=np.float64)
         sizes: list[int] = []
-        for i, (kind, payload) in enumerate(task):
-            if kind == "a":
-                counts = self.atom_table.histogram(payload)
-                size = int(self.atom_table.sizes[payload].sum())
-            else:
-                counts = self.spec.histogram_from_bin_indices(self._bin_idx[payload])
-                size = int(payload.shape[0])
-            pmfs[i] = counts / size
+        for i, rows in enumerate(groups):
+            size = int(table.sizes[rows].sum())
+            pmfs[i] = table.histogram(rows) / size
             sizes.append(size)
         return pmfs, sizes
 
@@ -536,17 +474,6 @@ class EvaluationEngine:
         else:
             weights = None
             key = tuple(sorted(pmfs[i].tobytes() for i in range(k)))
-        if self.mode == "full":
-            self.stats.n_full_evaluations += 1
-            self.stats.pair_distances_computed += k * (k - 1) // 2
-            matrix = pairwise_matrix(
-                self.metric,
-                pmfs,
-                self.spec,
-                kernel=self.kernel,
-                counters=self._kernel_counters,
-            )
-            return average_from_matrix(matrix, weights)
         cached = self._value_cache.get(key)
         if cached is not None:
             self._value_cache.move_to_end(key)
@@ -574,12 +501,12 @@ class EvaluationEngine:
         For each candidate attribute, every partition's atom rows are grouped
         by that attribute's code column (the exact children
         ``split_partitions`` would build, without materialising a single
-        member array) and the resulting candidate is scored through
-        :meth:`score_rows_many`.  Returns None when the atom path cannot
-        serve the query — atoms disabled, a partition unresolvable, an
-        attribute unknown or already constrained — in which case the caller
-        must use the legacy split-then-score path (preserving its error
-        semantics).
+        member array) and the resulting candidate is scored from its pmf
+        stack, with the same value cache and effort accounting as
+        :meth:`unfairness`.  Returns None when the atom path cannot serve
+        the query — atoms disabled, a partition unresolvable, an attribute
+        unknown or already constrained — in which case the caller must use
+        the legacy split-then-score path (preserving its error semantics).
         """
         if not self._use_atoms:
             return None
@@ -592,21 +519,28 @@ class EvaluationEngine:
             rows_per_partition.append(rows)
         table = self.atom_table
         constrained = [set(p.constrained_attributes()) for p in partitions]
-        tasks: list[list] = []
+        children: "list[list[np.ndarray]]" = []
         try:
             for attribute in candidates:
                 if any(attribute in used for used in constrained):
                     return None
-                tasks.append(
+                children.append(
                     [
-                        ("a", group)
+                        group
                         for rows in rows_per_partition
                         for group in table.split_rows(rows, attribute)
                     ]
                 )
         except KeyError:
             return None
-        return self.score_rows_many(tasks)
+        if not self._trace:
+            return [self._score_pmf_stack(*self._rows_pmfs(c)) for c in children]
+        with self.tracer.span(
+            "engine.score_attribute_splits", n_candidates=len(children)
+        ) as span:
+            values = [self._score_pmf_stack(*self._rows_pmfs(c)) for c in children]
+        self.metrics.observe("engine.score_many_seconds", span.duration_seconds)
+        return values
 
     def split_pmfs(
         self, partition: Partition, candidates: Sequence[str]
@@ -634,14 +568,13 @@ class EvaluationEngine:
             for attribute in candidates:
                 if attribute in constrained:
                     return None
-                groups = table.split_rows(rows, attribute)
-                pmfs = np.empty((len(groups), self.spec.bins), dtype=np.float64)
-                sizes = np.empty(len(groups), dtype=np.float64)
-                for i, group in enumerate(groups):
-                    size = int(table.sizes[group].sum())
-                    pmfs[i] = table.histogram(group) / size
-                    sizes[i] = size
-                out.append((pmfs, sizes if self.weighting == "size" else None))
+                pmfs, sizes = self._rows_pmfs(table.split_rows(rows, attribute))
+                weights = (
+                    np.array(sizes, dtype=np.float64)
+                    if self.weighting == "size"
+                    else None
+                )
+                out.append((pmfs, weights))
         except KeyError:
             return None
         return out
@@ -660,7 +593,7 @@ class EvaluationEngine:
         return IncrementalObjective(self, partitions)
 
     # --------------------------------------------- kernel/stat plumbing used
-    # by IncrementalObjective and the backends; not part of the search API.
+    # by IncrementalObjective; not part of the search API.
 
     def materialize_pairwise(self, pmfs: np.ndarray) -> np.ndarray:
         """Dense pairwise matrix of a pmf stack (no EngineStats side effects;
@@ -692,43 +625,6 @@ class EvaluationEngine:
         self.stats.n_incremental_evaluations += 1
         self.stats.pair_distances_computed += new_pairs
         self.stats.pair_distances_full += k * (k - 1) // 2
-
-    def record_external_evaluations(
-        self, candidates: Sequence[Sequence[Partition]]
-    ) -> None:
-        """Account candidates a worker pool evaluated on the parent's stats.
-
-        Workers run :func:`~repro.engine.kernels.full_objective`, so each
-        candidate is one full evaluation that materialised C(k, 2) pairs —
-        or none at all when the metric's average is a closed form.
-        """
-        for candidate in candidates:
-            k = len(candidate)
-            self.stats.n_evaluations += 1
-            self.stats.n_full_evaluations += 1
-            if k < 2:
-                continue
-            n_pairs = k * (k - 1) // 2
-            self.stats.pair_distances_full += n_pairs
-            if not self._closed_form_average:
-                self.stats.pair_distances_computed += n_pairs
-
-    def worker_payload(self) -> dict:
-        """Initializer state for process-pool workers (see backends).
-
-        ``atom_counts`` is the atom table's count matrix when the atom path
-        is enabled (workers serve ``("a", rows)`` wire entries from it) and
-        None otherwise; the process backend publishes it — and ``bin_idx`` —
-        through shared memory rather than pickling them per worker.
-        """
-        return {
-            "spec": self.spec,
-            "metric": self.metric,
-            "bin_idx": self._bin_idx,
-            "weighting": self.weighting,
-            "atom_counts": self.atom_table.counts if self._use_atoms else None,
-            "kernel": self.kernel,
-        }
 
     # ------------------------------------------------------------ lifecycle
 
@@ -771,7 +667,6 @@ class EvaluationEngine:
             if delta:
                 self.metrics.inc(f"engine.{synced_key}", delta)
             self._synced_stats[synced_key] = value
-        self.metrics.set_gauge("engine.workers", self.stats.workers)
         self.metrics.set_gauge("engine.value_cache_size", len(self._value_cache))
         return self.metrics
 
@@ -780,9 +675,8 @@ class EvaluationEngine:
         return self.sync_metrics().as_dict()
 
     def close(self) -> None:
-        """Release backend resources; the engine stays usable sequentially."""
+        """End of a run: flush the effort counters into the registry."""
         self.sync_metrics()
-        self.backend.close()
 
     def _cache_key(self, partitions: Sequence[Partition]) -> tuple:
         # The objective is a function of the *multiset* of histograms only
@@ -795,5 +689,5 @@ class EvaluationEngine:
     def __repr__(self) -> str:
         return (
             f"EvaluationEngine(metric={self.metric.name!r}, mode={self.mode!r}, "
-            f"backend={self.backend.name!r}, workers={self.backend.workers})"
+            f"kernel={self.kernel!r})"
         )

@@ -16,12 +16,6 @@ produced per call — and makes the *implementation* of that block a pluggable
     mirrors of the fused kernels, sharing their exact dtype and order of
     operations.  Slow, but the ground truth the parity harness compares
     every other backend against bit-for-bit.
-``numba``
-    Optional JIT-compiled loops (pure-Python forms of the same arithmetic,
-    including a replica of NumPy's pairwise summation so reductions match
-    bit-for-bit).  Gated behind ``import numba``; an activation self-check
-    compares the compiled kernels against the ``numpy`` backend and refuses
-    to enable a backend that is not bit-identical.
 
 Two entry points:
 
@@ -49,7 +43,6 @@ still agree exactly.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, MutableMapping
 
 import numpy as np
@@ -61,9 +54,7 @@ from repro.metrics.base import HistogramDistance
 __all__ = [
     "KERNEL_BACKENDS",
     "DEFAULT_KERNEL",
-    "available_kernel_backends",
     "resolve_kernel_backend",
-    "kernel_backend_status",
     "cross_matrix",
     "pairwise_matrix",
     "has_vectorized_kernel",
@@ -72,7 +63,7 @@ __all__ = [
 ]
 
 #: Registered kernel backend names, in documentation order.
-KERNEL_BACKENDS = ("numpy", "scalar", "numba")
+KERNEL_BACKENDS = ("numpy", "scalar")
 
 #: The backend every caller gets unless asked otherwise.
 DEFAULT_KERNEL = "numpy"
@@ -196,302 +187,14 @@ _REF_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, HistogramSpec], float]
 
 
 # --------------------------------------------------------------------------
-# numba backend: JIT-able pure-Python loops (bit-identical by construction)
-# --------------------------------------------------------------------------
-#
-# NumPy reduces ``.sum(axis=-1)`` with *pairwise summation*, not a naive
-# left-to-right loop, and the two disagree in the last ulp from ~100
-# elements.  The loop kernels therefore replicate NumPy's pairwise algorithm
-# (8-way unrolled 128-element blocks, recursive halving to a multiple of 8)
-# so their reductions are bit-identical to the fused kernels.  The functions
-# below are plain Python — importable and testable without numba — and are
-# fed to ``numba.njit`` only when the optional dependency is present.
-
-_PW_BLOCKSIZE = 128
-
-
-def _pairwise_sum(a: np.ndarray, lo: int, n: int) -> float:
-    if n < 8:
-        res = 0.0
-        for i in range(n):
-            res += a[lo + i]
-        return res
-    if n <= _PW_BLOCKSIZE:
-        r0 = a[lo]
-        r1 = a[lo + 1]
-        r2 = a[lo + 2]
-        r3 = a[lo + 3]
-        r4 = a[lo + 4]
-        r5 = a[lo + 5]
-        r6 = a[lo + 6]
-        r7 = a[lo + 7]
-        i = 8
-        while i < n - (n % 8):
-            r0 += a[lo + i]
-            r1 += a[lo + i + 1]
-            r2 += a[lo + i + 2]
-            r3 += a[lo + i + 3]
-            r4 += a[lo + i + 4]
-            r5 += a[lo + i + 5]
-            r6 += a[lo + i + 6]
-            r7 += a[lo + i + 7]
-            i += 8
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        while i < n:
-            res += a[lo + i]
-            i += 1
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
-
-
-def _row_cumsum(block: np.ndarray) -> np.ndarray:
-    out = np.empty_like(block)
-    rows, bins = block.shape
-    for i in range(rows):
-        acc = 0.0
-        for k in range(bins):
-            acc += block[i, k]
-            out[i, k] = acc
-    return out
-
-
-# Each loop kernel closes over its helpers so the numba path can rebuild the
-# same closures around *jitted* helpers without touching module globals (the
-# pure-Python forms below stay importable and testable with or without
-# numba installed).
-
-
-def _make_emd_block(pairwise_sum, row_cumsum):
-    def _emd_block(left, right, bin_width):
-        lc = row_cumsum(left)
-        rc = row_cumsum(right)
-        nl, bins = left.shape
-        nr = right.shape[0]
-        out = np.empty((nl, nr), dtype=np.float64)
-        tmp = np.empty(bins, dtype=np.float64)
-        for i in range(nl):
-            for j in range(nr):
-                for k in range(bins):
-                    tmp[k] = abs(lc[i, k] - rc[j, k])
-                out[i, j] = bin_width * pairwise_sum(tmp, 0, bins)
-        return out
-
-    return _emd_block
-
-
-def _make_ks_block(pairwise_sum, row_cumsum):
-    def _ks_block(left, right, bin_width):
-        lc = row_cumsum(left)
-        rc = row_cumsum(right)
-        nl, bins = left.shape
-        nr = right.shape[0]
-        out = np.empty((nl, nr), dtype=np.float64)
-        for i in range(nl):
-            for j in range(nr):
-                best = abs(lc[i, 0] - rc[j, 0])
-                for k in range(1, bins):
-                    d = abs(lc[i, k] - rc[j, k])
-                    if d > best:
-                        best = d
-                out[i, j] = best
-        return out
-
-    return _ks_block
-
-
-def _make_tv_block(pairwise_sum, row_cumsum):
-    def _tv_block(left, right, bin_width):
-        nl, bins = left.shape
-        nr = right.shape[0]
-        out = np.empty((nl, nr), dtype=np.float64)
-        tmp = np.empty(bins, dtype=np.float64)
-        for i in range(nl):
-            for j in range(nr):
-                for k in range(bins):
-                    tmp[k] = abs(left[i, k] - right[j, k])
-                out[i, j] = 0.5 * pairwise_sum(tmp, 0, bins)
-        return out
-
-    return _tv_block
-
-
-def _make_hellinger_block(pairwise_sum, row_cumsum):
-    def _hellinger_block(left, right, bin_width):
-        nl, bins = left.shape
-        nr = right.shape[0]
-        sl = np.empty_like(left)
-        sr = np.empty_like(right)
-        for i in range(nl):
-            for k in range(bins):
-                sl[i, k] = math.sqrt(left[i, k])
-        for j in range(nr):
-            for k in range(bins):
-                sr[j, k] = math.sqrt(right[j, k])
-        out = np.empty((nl, nr), dtype=np.float64)
-        tmp = np.empty(bins, dtype=np.float64)
-        for i in range(nl):
-            for j in range(nr):
-                for k in range(bins):
-                    d = sl[i, k] - sr[j, k]
-                    tmp[k] = d * d
-                out[i, j] = math.sqrt(0.5 * pairwise_sum(tmp, 0, bins))
-        return out
-
-    return _hellinger_block
-
-
-def _make_js_block(pairwise_sum, row_cumsum):
-    def _js_block(left, right, bin_width):
-        nl, bins = left.shape
-        nr = right.shape[0]
-        out = np.empty((nl, nr), dtype=np.float64)
-        kl_p = np.empty(bins, dtype=np.float64)
-        kl_q = np.empty(bins, dtype=np.float64)
-        for i in range(nl):
-            for j in range(nr):
-                for k in range(bins):
-                    p = left[i, k]
-                    q = right[j, k]
-                    m = 0.5 * (p + q)
-                    kl_p[k] = p * math.log2(p / m) if p > 0 else 0.0
-                    kl_q[k] = q * math.log2(q / m) if q > 0 else 0.0
-                divergence = 0.5 * pairwise_sum(kl_p, 0, bins) + 0.5 * pairwise_sum(
-                    kl_q, 0, bins
-                )
-                if not divergence > 0.0:
-                    divergence = 0.0
-                out[i, j] = math.sqrt(divergence)
-        return out
-
-    return _js_block
-
-
-_BLOCK_FACTORIES = {
-    "emd": _make_emd_block,
-    "ks": _make_ks_block,
-    "tv": _make_tv_block,
-    "hellinger": _make_hellinger_block,
-    "js": _make_js_block,
-}
-
-#: The pure-Python loop kernels (testable without numba installed).
-_PY_BLOCK_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = {
-    name: factory(_pairwise_sum, _row_cumsum)
-    for name, factory in _BLOCK_FACTORIES.items()
-}
-
-#: Lazy numba activation state: ``None`` = not yet attempted, otherwise a
-#: dict with ``available`` / ``reason`` / ``kernels``.
-_NUMBA_STATE: "dict | None" = None
-
-
-def _self_check_blocks(
-    kernels: "dict[str, Callable[[np.ndarray, np.ndarray, float], np.ndarray]]",
-) -> "list[str]":
-    """Metric names whose block kernel is NOT bit-identical to numpy's.
-
-    Deterministic seeded probe covering several bin counts (crossing the
-    pairwise-summation block boundaries) plus degenerate shapes.
-    """
-    spec = HistogramSpec(bins=10)
-    failures: list[str] = []
-    rng = np.random.default_rng(20260809)
-    cases = []
-    for bins in (1, 3, 10, 100, 250):
-        left = rng.random((4, bins))
-        left /= left.sum(axis=1, keepdims=True)
-        right = rng.random((3, bins))
-        right /= right.sum(axis=1, keepdims=True)
-        cases.append((left, right))
-    one_hot = np.zeros((2, 10))
-    one_hot[0, 0] = 1.0
-    one_hot[1, 9] = 1.0
-    cases.append((one_hot, one_hot.copy()))
-    for name, kernel in kernels.items():
-        reference = _CROSS_KERNELS[name]
-        for left, right in cases:
-            expected = reference(left, right, spec)
-            got = kernel(left, right, spec.bin_width)
-            if not np.array_equal(expected, got):
-                failures.append(name)
-                break
-    return failures
-
-
-def _numba_state() -> dict:
-    """Probe-and-cache the optional numba backend (import + self-check)."""
-    global _NUMBA_STATE
-    if _NUMBA_STATE is not None:
-        return _NUMBA_STATE
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_STATE = {
-            "available": False,
-            "reason": "numba is not installed",
-            "kernels": None,
-        }
-        return _NUMBA_STATE
-    try:
-        pairwise = numba.njit(cache=False)(_pairwise_sum)
-        row_cumsum = numba.njit(cache=False)(_row_cumsum)
-        compiled = {
-            name: numba.njit(cache=False)(factory(pairwise, row_cumsum))
-            for name, factory in _BLOCK_FACTORIES.items()
-        }
-        failures = _self_check_blocks(compiled)
-    except Exception as exc:  # pragma: no cover - depends on optional dep
-        _NUMBA_STATE = {
-            "available": False,
-            "reason": f"numba activation failed: {exc!r}",
-            "kernels": None,
-        }
-        return _NUMBA_STATE
-    if failures:
-        _NUMBA_STATE = {
-            "available": False,
-            "reason": (
-                "numba self-check failed (not bit-identical to numpy) for: "
-                + ", ".join(sorted(failures))
-            ),
-            "kernels": None,
-        }
-    else:
-        _NUMBA_STATE = {"available": True, "reason": "", "kernels": compiled}
-    return _NUMBA_STATE
-
-
-# --------------------------------------------------------------------------
 # backend registry and resolution
 # --------------------------------------------------------------------------
-
-
-def available_kernel_backends() -> tuple[str, ...]:
-    """Kernel backends that can actually run in this environment."""
-    names = ["numpy", "scalar"]
-    if _numba_state()["available"]:
-        names.append("numba")
-    return tuple(names)
-
-
-def kernel_backend_status() -> dict:
-    """Diagnostic map for CLI/CI notices (why numba is or is not active)."""
-    state = _numba_state()
-    return {
-        "registered": KERNEL_BACKENDS,
-        "available": available_kernel_backends(),
-        "numba": {"available": state["available"], "reason": state["reason"]},
-    }
 
 
 def resolve_kernel_backend(kernel: "str | None") -> str:
     """Validate a kernel backend name (``None`` → the default).
 
-    Raises :class:`~repro.exceptions.KernelError` for unknown names and for
-    the numba backend when the dependency is missing or its bit-identity
-    self-check failed.
+    Raises :class:`~repro.exceptions.KernelError` for unknown names.
     """
     if kernel is None:
         return DEFAULT_KERNEL
@@ -499,10 +202,6 @@ def resolve_kernel_backend(kernel: "str | None") -> str:
         raise KernelError(
             f"unknown kernel backend {kernel!r}; registered: {KERNEL_BACKENDS}"
         )
-    if kernel == "numba":
-        state = _numba_state()
-        if not state["available"]:
-            raise KernelError(f"kernel backend 'numba' unavailable: {state['reason']}")
     return kernel
 
 
@@ -556,13 +255,6 @@ def _cross_block(
             for j in range(right_u.shape[0]):
                 out[i, j] = ref(left_u[i], right_u[j], spec)
         return out
-    if kernel == "numba":
-        state = _numba_state()
-        if not state["available"]:
-            raise KernelError(f"kernel backend 'numba' unavailable: {state['reason']}")
-        return state["kernels"][metric.name](
-            np.ascontiguousarray(left_u), np.ascontiguousarray(right_u), spec.bin_width
-        )
     raise KernelError(
         f"unknown kernel backend {kernel!r}; registered: {KERNEL_BACKENDS}"
     )

@@ -48,62 +48,23 @@ class RepairError(ReproError):
 
 
 class BackendError(ReproError):
-    """An execution backend failed to evaluate a batch of candidates."""
+    """A compute backend (kernel or job worker) failed."""
 
 
 class KernelError(BackendError):
-    """A kernel backend is unknown, unavailable, or failed its self-check.
+    """A kernel backend is unknown.
 
-    Raised when ``--engine-kernel`` names a backend that is not registered,
-    when the optional ``numba`` backend is requested but the dependency is
-    missing, or when a compiled backend's activation self-check found a
-    result that is not bit-identical to the reference ``numpy`` kernels (a
-    compiled path that cannot reproduce the reference exactly refuses to
-    run rather than silently perturbing audit results).
+    Raised when ``--engine-kernel`` (or a job's ``kernel`` field) names a
+    backend that is not registered.
     """
 
 
 class WorkerCrashError(BackendError):
-    """A worker process (or injected fault) died while evaluating a chunk.
+    """A job worker died mid-job (raised by the service's ``worker-*`` chaos).
 
-    Raised inside worker processes, it pickles across the process boundary
-    and surfaces on the parent's future; the retry machinery treats it as
-    transient.
+    The service's retry ladder treats it as transient: the job is re-queued
+    until ``max_attempts`` is spent, then quarantined.
     """
-
-
-class BackendTimeoutError(BackendError):
-    """A batch (or chunk) exceeded the configured per-dispatch timeout."""
-
-
-class CorruptResultError(BackendError):
-    """A backend returned a malformed batch (wrong length, non-finite values).
-
-    Detected by result validation in the retry layer; treated as transient
-    because a re-execution through the same kernels yields the true values.
-    """
-
-
-class BackendExhaustedError(BackendError):
-    """The retry budget ran out without a successful evaluation.
-
-    Carries ``attempts`` (total tries, including the first) and
-    ``last_error`` (the failure that ended the run) so callers and tests can
-    distinguish timeout storms from crash loops.
-    """
-
-    def __init__(
-        self,
-        attempts: int,
-        last_error: "BaseException | None" = None,
-        message: "str | None" = None,
-    ) -> None:
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            message
-            or f"backend failed after {attempts} attempt(s); last error: {last_error!r}"
-        )
 
 
 class CheckpointError(ReproError):

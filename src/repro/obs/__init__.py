@@ -9,7 +9,7 @@ Dependency-free instrumentation substrate for the evaluation pipeline:
 * :func:`setup_logging` — ``key=value`` structured logging behind the
   ``repro`` logger hierarchy (:mod:`repro.obs.logging_setup`).
 
-The engine, backends, algorithms, simulation runner and CLI all accept a
+The engine, algorithms, simulation runner and CLI all accept a
 tracer/registry pair; with the defaults (disabled tracer, private registry)
 the instrumented hot paths cost a single attribute check.  See
 ``docs/observability.md`` for the span and metric naming scheme.

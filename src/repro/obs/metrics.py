@@ -11,8 +11,7 @@ metrics:
 Registries snapshot to plain dicts (``as_dict``) and **merge**
 (:meth:`MetricsRegistry.merge`): counters and timing histograms add, gauges
 are overwritten by the merged-in side.  Merging is how per-run registries
-roll up into a benchmark suite total and how snapshots taken in worker
-processes fold back into the parent's registry.
+roll up into a benchmark suite total.
 
 The :class:`~repro.engine.engine.EvaluationEngine` mirrors its
 :class:`~repro.engine.engine.EngineStats` effort counters (evaluations,
@@ -177,9 +176,8 @@ class MetricsRegistry:
         """Fold another registry (or an ``as_dict`` snapshot) into this one.
 
         Counters and timing histograms accumulate; gauges take the merged-in
-        value.  This is the operation used to combine snapshots shipped back
-        from process-pool workers and to roll per-run registries up into a
-        benchmark-suite total.  Returns ``self``.
+        value.  This is the operation used to roll per-run registries up
+        into a benchmark-suite total.  Returns ``self``.
         """
         snapshot = other.as_dict() if isinstance(other, MetricsRegistry) else other
         for name, value in snapshot.get("counters", {}).items():

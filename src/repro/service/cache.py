@@ -22,8 +22,7 @@ it was derived from:
   (:func:`cached_audit`) and whole experiment payloads (the service's
   ``_execute``).  The search trajectory is a pure function of the
   population, the score vector, the bin spec, metric, weighting,
-  algorithm and seed (and the execution backend, whose identity the
-  result *reports*), so replaying a stored result is byte-for-byte what
+  algorithm and seed, so replaying a stored result is byte-for-byte what
   re-running the search would produce.
 
 The kernel backend is deliberately **not** part of any key: the parity
@@ -416,9 +415,8 @@ def cached_audit(cache: CrossJobCache, algorithm: str, population, scores, **kwa
 
     The key covers everything that pins the (deterministic) search
     trajectory: population + scores fingerprints, bin spec, metric,
-    weighting, algorithm name, the integer seed, and the execution
-    backend (whose identity the returned result reports).  The kernel
-    backend is excluded — parity-proven bit-identical.  On a miss the
+    weighting, algorithm name and the integer seed.  The kernel backend
+    is excluded — parity-proven bit-identical.  On a miss the
     audit runs through a :class:`CachingEngineFactory` bound to the same
     cache, so even result misses warm the atom and value families.
 
@@ -433,7 +431,6 @@ def cached_audit(cache: CrossJobCache, algorithm: str, population, scores, **kwa
     memoisable = (
         cache.enabled
         and (rng is None or isinstance(rng, (int, np.integer)))
-        and kwargs.get("fault_config") is None
         and kwargs.get("deadline") is None
     )
     if not memoisable:
@@ -450,8 +447,6 @@ def cached_audit(cache: CrossJobCache, algorithm: str, population, scores, **kwa
         metric_name,
         str(kwargs.get("weighting", "uniform")),
         None if rng is None else int(rng),
-        str(kwargs.get("backend") or "sequential"),
-        int(kwargs.get("workers") or 1),
     )
     hit = cache.get(material)
     if hit is not None:

@@ -1,8 +1,8 @@
 """Service-wide chaos layer: one seeded schedule for every fault seam.
 
-PR 3 chaos-tested the engine pool (``engine/faults.py``) and PR 5 the
-journal's torn tail; this module extends the same deterministic-schedule
-discipline to the *whole service surface*:
+The journal's torn-tail handling is tested with deterministic fault
+schedules; this module extends the same discipline to the *whole service
+surface*:
 
 * **disk** — the :class:`~repro.io.faultfs.FaultPlane` installed over
   every durable write (journal append/fsync, snapshot and checkpoint
@@ -170,7 +170,7 @@ class ChaosConfig:
         """Parse the ``serve --chaos`` grammar (see module docstring).
 
         Raises :class:`ValueError` on unknown keys or malformed values,
-        mirroring :meth:`repro.engine.faults.FaultConfig.parse`.
+        mirroring :meth:`repro.io.faultfs.DiskFaultConfig.parse`.
         """
         disk: "dict[str, float | int]" = {}
         net: "dict[str, float | int]" = {}

@@ -47,6 +47,7 @@ __all__ = [
     "TERMINAL_STATES",
     "KNOWN_SCENARIOS",
     "check_transition",
+    "validate_kernel",
 ]
 
 #: Job ids are path- and log-safe tokens (they name checkpoint directories).
@@ -96,6 +97,22 @@ VALID_TRANSITIONS: "dict[JobState, frozenset[JobState]]" = {
 
 #: States a job never leaves (FAILED is transient: the retry loop exits it).
 TERMINAL_STATES = frozenset({JobState.DONE, JobState.CANCELLED, JobState.QUARANTINED})
+
+
+def validate_kernel(kernel: "str | None") -> None:
+    """Raise :class:`ServiceError` unless ``kernel`` is None or registered.
+
+    Checked when a job or monitor is admitted, not when its spec is built:
+    a journal replay must still rebuild a spec naming a kernel backend that
+    has since been retired.  Such a job fails with a ``KernelError`` when it
+    runs and is quarantined once its attempts are spent.
+    """
+    from repro.engine.kernels import KERNEL_BACKENDS
+
+    if kernel is not None and kernel not in KERNEL_BACKENDS:
+        raise ServiceError(
+            f"unknown kernel backend {kernel!r}; choose from {KERNEL_BACKENDS}"
+        )
 
 
 def check_transition(current: JobState, new: JobState) -> None:
@@ -153,9 +170,10 @@ class AuditJob:
         :func:`~repro.repair.repair_ranking` (see its docstring).
     kernel:
         Kernel backend for the distance computations (``"numpy"`` /
-        ``"scalar"`` / ``"numba"``; ``None`` = the daemon default).
-        Bit-identical across backends, so results are unchanged whichever
-        is selected — it is a cost knob, not part of the job's identity.
+        ``"scalar"``; ``None`` = the daemon default).  Bit-identical across
+        backends, so results are unchanged whichever is selected — it is a
+        cost knob, not part of the job's identity.  Validated at admission
+        (see :func:`validate_kernel`).
     tenant:
         Fair-share scheduling bucket.  Jobs compete for priority only
         within their tenant; across tenants the scheduler serves queues in
@@ -203,14 +221,6 @@ class AuditJob:
             raise ServiceError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.n_workers is not None and self.n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.kernel is not None:
-            from repro.engine.kernels import KERNEL_BACKENDS
-
-            if self.kernel not in KERNEL_BACKENDS:
-                raise ServiceError(
-                    f"unknown kernel backend {self.kernel!r}; "
-                    f"choose from {KERNEL_BACKENDS}"
-                )
         if self.kind not in JOB_KINDS:
             raise ServiceError(
                 f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}"

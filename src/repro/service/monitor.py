@@ -38,6 +38,10 @@ from repro.service.jobs import KNOWN_SCENARIOS
 
 __all__ = ["MonitorSpec", "MonitoredPopulation"]
 
+#: Execution knobs older specs carried (the engine now always scores
+#: in-process); :meth:`MonitorSpec.from_dict` drops them.
+_RETIRED_FIELDS = ("backend", "workers")
+
 
 @dataclass(frozen=True)
 class MonitorSpec:
@@ -57,8 +61,6 @@ class MonitorSpec:
     weighting: str = "uniform"
     n_workers: "int | None" = None
     seed: int = 0
-    backend: "str | None" = None
-    workers: "int | None" = None
     debounce_seconds: float = 0.25
     max_delay_seconds: float = 2.0
     buffer_limit: int = 4096
@@ -67,7 +69,8 @@ class MonitorSpec:
     # Kernel backend for the distance computations; None = daemon default.
     # Bit-identical across backends, and omitted from to_dict() when unset,
     # so pre-existing spec fingerprints (which gate snapshot restore) are
-    # unchanged by its introduction.
+    # unchanged by its introduction.  Validated at admission, not here (see
+    # repro.service.jobs.validate_kernel).
     kernel: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -107,14 +110,6 @@ class MonitorSpec:
             raise ServiceError(
                 f"unknown weighting {self.weighting!r}; use 'uniform' or 'size'"
             )
-        if self.kernel is not None:
-            from repro.engine.kernels import KERNEL_BACKENDS
-
-            if self.kernel not in KERNEL_BACKENDS:
-                raise ServiceError(
-                    f"unknown kernel backend {self.kernel!r}; "
-                    f"choose from {KERNEL_BACKENDS}"
-                )
 
     # ------------------------------------------------------------- (de)serde
 
@@ -131,13 +126,21 @@ class MonitorSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "MonitorSpec":
+        """Rebuild a spec; unknown fields are rejected, except the retired
+        ``backend`` / ``workers`` execution knobs, which older journals
+        and snapshots carry and which are dropped."""
+        payload = {
+            key: value
+            for key, value in payload.items()
+            if key not in _RETIRED_FIELDS
+        }
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ServiceError(f"unknown monitor spec field(s): {unknown}")
         if "id" not in payload:
             raise ServiceError("monitor spec needs an id")
-        return cls(**dict(payload))
+        return cls(**payload)
 
     def fingerprint(self) -> str:
         from repro.service.snapshot import spec_fingerprint
@@ -217,7 +220,7 @@ class MonitoredPopulation:
     audits: int = 0
     mutations_applied: int = 0
 
-    def ensure_auditor(self, metrics=None, retry_policy=None):
+    def ensure_auditor(self, metrics=None):
         """Lazily build the persistent :class:`StreamingAuditor`."""
         if self.auditor is None:
             from repro.engine.streaming import StreamingAuditor
@@ -227,11 +230,8 @@ class MonitoredPopulation:
                 algorithm=self.spec.algorithm,
                 metric=self.spec.metric,
                 weighting=self.spec.weighting,
-                backend=self.spec.backend,
-                workers=self.spec.workers,
                 seed=self.spec.seed,
                 metrics=metrics,
-                retry_policy=retry_policy,
                 kernel=self.spec.kernel,
             )
         return self.auditor
@@ -314,11 +314,11 @@ class MonitoredPopulation:
             or waiting >= self.spec.max_delay_seconds
         )
 
-    def run_audit(self, now: float, metrics=None, retry_policy=None) -> dict:
+    def run_audit(self, now: float, metrics=None) -> dict:
         """Full streaming re-audit; returns the journal/series record."""
         from repro.engine.deadline import Deadline
 
-        auditor = self.ensure_auditor(metrics=metrics, retry_policy=retry_policy)
+        auditor = self.ensure_auditor(metrics=metrics)
         deadline = (
             Deadline(self.spec.deadline_seconds)
             if self.spec.deadline_seconds is not None
@@ -383,8 +383,3 @@ class MonitoredPopulation:
                 ),
                 "snapshot_version": self.snapshot_version,
             }
-
-    def close(self) -> None:
-        if self.auditor is not None:
-            self.auditor.close()
-            self.auditor = None

@@ -43,9 +43,6 @@ Since PR 9 the daemon is built for *throughput*, not just robustness:
   differing only in id/priority/tenant) queued together coalesce into
   one engine dispatch whose result is journaled to every member with a
   single group-commit fsync (``batch_max`` > 1 enables this).
-* **Sharded execution** — ``shard_workers`` routes each job's engine
-  work through the atom-range :class:`~repro.engine.backends.ShardedBackend`
-  (bit-identical to sequential; see ``tests/parity/test_sharded_parity.py``).
 
 The HTTP surface is intentionally tiny and dependency-free — an
 ``asyncio`` reactor (see :mod:`repro.service.http`) — and versioned since
@@ -79,6 +76,7 @@ from repro.service.jobs import (
     AuditJob,
     JobRecord,
     JobState,
+    validate_kernel,
 )
 from repro.service.journal import JobJournal
 from repro.service.monitor import MonitoredPopulation, MonitorSpec
@@ -144,8 +142,8 @@ class ServiceConfig:
         ``None`` or ``0`` disables caching.
     engine_kernel:
         Daemon-default kernel backend for distance computations
-        (``"numpy"`` / ``"scalar"`` / ``"numba"``); jobs and monitors may
-        override per spec.  Bit-identical across backends.
+        (``"numpy"`` / ``"scalar"``); jobs and monitors may override per
+        spec.  Bit-identical across backends.
     tenant_weights:
         Tenant name → dispatch weight for the weighted fair scheduler;
         unlisted tenants weigh 1.0.  ``None`` = every tenant equal.
@@ -160,11 +158,6 @@ class ServiceConfig:
         have a spec identical to the leader's up to id/priority/tenant
         and no deadline.  The default ``1`` disables batching, which
         keeps single-job journal and metric behaviour exactly as before.
-    shard_workers:
-        When set, job execution fans each engine batch out across this
-        many worker processes by atom-range
-        (:class:`~repro.engine.backends.ShardedBackend`); results stay
-        bit-identical to sequential.  ``None`` keeps in-process scoring.
     chaos:
         A :class:`~repro.service.chaos.ChaosConfig` (``serve --chaos``):
         seeded fault injection over the disk plane, the HTTP responses
@@ -203,7 +196,6 @@ class ServiceConfig:
         rate_limit: "float | None" = None,
         rate_limit_burst: "int | None" = None,
         batch_max: int = 1,
-        shard_workers: "int | None" = None,
         chaos=None,
         request_timeout: "float | None" = 30.0,
         watchdog_seconds: "float | None" = None,
@@ -239,14 +231,7 @@ class ServiceConfig:
                 f"cache_max_bytes must be >= 0, got {cache_max_bytes}"
             )
         self.cache_max_bytes = cache_max_bytes
-        if engine_kernel is not None:
-            from repro.engine.kernels import KERNEL_BACKENDS
-
-            if engine_kernel not in KERNEL_BACKENDS:
-                raise ServiceError(
-                    f"unknown kernel backend {engine_kernel!r}; "
-                    f"choose from {KERNEL_BACKENDS}"
-                )
+        validate_kernel(engine_kernel)
         self.engine_kernel = engine_kernel
         for tenant, weight in (tenant_weights or {}).items():
             if not float(weight) > 0:
@@ -267,9 +252,6 @@ class ServiceConfig:
         if batch_max < 1:
             raise ServiceError(f"batch_max must be >= 1, got {batch_max}")
         self.batch_max = batch_max
-        if shard_workers is not None and shard_workers < 1:
-            raise ServiceError(f"shard_workers must be >= 1, got {shard_workers}")
-        self.shard_workers = shard_workers
         self.chaos = chaos
         if request_timeout is not None and not request_timeout > 0:
             raise ServiceError(
@@ -304,12 +286,10 @@ class AuditService:
         self,
         config: ServiceConfig,
         metrics: "MetricsRegistry | None" = None,
-        retry_policy=None,
         clock=time.time,
     ) -> None:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.retry_policy = retry_policy
         self._clock = clock
         self.journal = JobJournal(config.workdir / "journal.jsonl")
         self._records: "dict[str, JobRecord]" = {}
@@ -475,7 +455,6 @@ class AuditService:
         for monitor in list(self._monitors.values()):
             with monitor.lock:
                 self._write_snapshot(monitor)
-                monitor.close()
         self.journal.close()
 
     def serve_forever(self, install_signals: bool = True) -> int:
@@ -734,6 +713,10 @@ class AuditService:
             get_algorithm(job.algorithm)
         except Exception as exc:
             self._reject("invalid_spec", f"unknown algorithm {job.algorithm!r}: {exc}")
+        try:
+            validate_kernel(job.kernel)
+        except ServiceError as exc:
+            self._reject("invalid_spec", str(exc))
         with self._lock:
             if job.id in self._records:
                 self._reject("duplicate_id", f"job id {job.id!r} already journaled")
@@ -843,11 +826,12 @@ class AuditService:
         if self._shutdown.is_set():
             self._reject("shutting_down", "the daemon is draining for shutdown")
         self._reject_if_degraded()
-        if isinstance(spec, dict):
-            try:
+        try:
+            if isinstance(spec, dict):
                 spec = MonitorSpec.from_dict(spec)
-            except (ServiceError, TypeError) as exc:
-                self._reject("invalid_spec", str(exc))
+            validate_kernel(spec.kernel)
+        except (ServiceError, TypeError) as exc:
+            self._reject("invalid_spec", str(exc))
         with self._lock:
             if spec.id in self._monitors:
                 self._reject(
@@ -980,11 +964,7 @@ class AuditService:
             self._seed_monitor(monitor)
             try:
                 with self.metrics.time("service.monitor_audit_seconds"):
-                    point = monitor.run_audit(
-                        self._clock(),
-                        metrics=self.metrics,
-                        retry_policy=self.retry_policy,
-                    )
+                    point = monitor.run_audit(self._clock(), metrics=self.metrics)
             except Exception:  # noqa: BLE001 - keep the scheduler alive
                 self.metrics.inc("service.monitor_audit_errors")
                 monitor.unaudited = 0
@@ -1011,9 +991,7 @@ class AuditService:
             return
         hit = self.cache.get(self._monitor_cache_material(monitor))
         if hit is not None:
-            auditor = monitor.ensure_auditor(
-                metrics=self.metrics, retry_policy=self.retry_policy
-            )
+            auditor = monitor.ensure_auditor(metrics=self.metrics)
             auditor.seed_value_cache = hit["value_cache"]
 
     def _harvest_monitor(self, monitor: MonitoredPopulation) -> None:
@@ -1522,18 +1500,12 @@ class AuditService:
         memo = self.cache.get(result_material)
         if memo is not None:
             return memo["payload"]
-        # Sharded execution fans histogram accumulation out by atom-range;
-        # parity-proven bit-identical, so the experiment memo above stays
-        # valid whichever backend computed the entry.
         experiment = run_scenario(
             scenario,
             algorithms=(job.algorithm,),
             metric=job.metric,
             seed=job.seed,
-            backend="sharded" if self.config.shard_workers else None,
-            workers=self.config.shard_workers,
             metrics=self.metrics,
-            retry_policy=self.retry_policy,
             checkpoint=self.config.workdir / "checkpoints" / job.id,
             resume=True,
             deadline=deadline,
@@ -1624,7 +1596,6 @@ class AuditService:
                 metric=job.metric,
                 rng=np.random.default_rng(seed_value),
                 metrics=self.metrics,
-                retry_policy=self.retry_policy,
                 deadline=deadline,
                 kernel=job.kernel or self.config.engine_kernel,
                 engine_factory=engine_factory,

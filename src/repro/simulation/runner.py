@@ -31,8 +31,10 @@ class ExperimentRow:
     """One cell of a paper table: one algorithm on one scoring function.
 
     The engine counters (cache hits, incremental vs full evaluations, pair
-    distances materialised vs naive dense cost, backend, workers) travel
-    with the cell so benchmark harnesses can attribute search effort.
+    distances materialised vs naive dense cost) travel with the cell so
+    benchmark harnesses can attribute search effort.  ``backend`` /
+    ``workers`` always read ``"sequential"`` / ``1``; checkpoints and
+    experiment JSON record them.
     """
 
     scenario: str
@@ -139,12 +141,8 @@ def run_scenario(
     metric: "str | HistogramDistance" = "emd",
     seed: int = 0,
     algorithm_options: "dict[str, dict[str, object]] | None" = None,
-    backend: "str | None" = None,
-    workers: "int | None" = None,
     tracer=None,
     metrics=None,
-    retry_policy=None,
-    fault_config=None,
     checkpoint=None,
     resume: bool = False,
     deadline=None,
@@ -166,16 +164,10 @@ def run_scenario(
     algorithm_options:
         Optional per-algorithm constructor options, e.g.
         ``{"exhaustive": {"budget": 10_000}}``.
-    backend, workers:
-        Execution backend for the evaluation engine (``"sequential"``
-        default, ``"process"`` with ``workers`` processes).
     tracer, metrics:
         Observability hooks (see :mod:`repro.obs`): every (function,
         algorithm) cell runs inside a ``scenario.cell`` span and all engines
         mirror their counters into the shared ``metrics`` registry.
-    retry_policy, fault_config:
-        Fault tolerance / fault injection for the execution backend (see
-        :mod:`repro.engine.resilience` and :mod:`repro.engine.faults`).
     checkpoint:
         A :class:`~repro.simulation.checkpoint.CheckpointStore` (or a
         directory path) where every completed cell is persisted atomically.
@@ -189,8 +181,8 @@ def run_scenario(
         rows (``deadline_hit=True``) instead of running on.
     kernel:
         Kernel backend for the distance computations (``"numpy"`` /
-        ``"scalar"`` / ``"numba"``; ``None`` = default).  Bit-identical
-        across backends, so rows are unchanged whichever is selected.
+        ``"scalar"``; ``None`` = default).  Bit-identical across backends,
+        so rows are unchanged whichever is selected.
     engine_factory:
         Optional engine factory forwarded to every cell's
         :meth:`~repro.core.algorithms.base.PartitioningAlgorithm.run` —
@@ -242,12 +234,8 @@ def run_scenario(
                         hist_spec=scenario.hist_spec,
                         metric=metric,
                         rng=np.random.default_rng(seed_value),
-                        backend=backend,
-                        workers=workers,
                         tracer=tracer,
                         metrics=metrics,
-                        retry_policy=retry_policy,
-                        fault_config=fault_config,
                         deadline=deadline,
                         kernel=kernel,
                         engine_factory=engine_factory,

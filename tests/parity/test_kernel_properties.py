@@ -1,9 +1,8 @@
-"""Property tests: compiled kernels == scalar reference, exactly.
+"""Property tests: fused kernels == scalar reference, exactly.
 
 Hypothesis generates random pmf stacks (including zero rows, empty bins,
-one-hot mass and denormal weights) and asserts the fused numpy kernels,
-the pure-Python block kernels (the jit-able forms numba compiles) and the
-mirrored scalar references all produce the **same IEEE floats** — equality
+one-hot mass and denormal weights) and asserts the fused numpy kernels and
+the mirrored scalar references produce the **same IEEE floats** — equality
 is ``np.array_equal``, never approx, because the backends share dtype and
 order of operations by construction.
 """
@@ -16,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import HistogramSpec
-from repro.engine.kernels import (
-    _PY_BLOCK_KERNELS,
-    _REF_KERNELS,
-    _self_check_blocks,
-    cross_matrix,
-    pairwise_matrix,
-)
+from repro.engine.kernels import _REF_KERNELS, cross_matrix, pairwise_matrix
 from repro.metrics import get_metric
 
 KERNEL_METRICS = tuple(sorted(_REF_KERNELS))
@@ -44,8 +37,8 @@ def _weights() -> st.SearchStrategy:
             allow_nan=False,
             allow_infinity=False,
         ),
-        # Denormal / tiny weights: the pairwise-summation replica must not
-        # flush or reorder them differently from np.sum.
+        # Denormal / tiny weights: the scalar mirror must not flush or
+        # reorder them differently from the fused np.sum.
         st.sampled_from([0.0, 5e-324, 1e-308, 2.5e-310, 1e-45]),
     )
 
@@ -75,31 +68,6 @@ def test_fused_equals_scalar_reference(name: str, stack: np.ndarray) -> None:
     assert np.array_equal(cross_fused, cross_scalar)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", KERNEL_METRICS)
-@given(stack=pmf_stacks())
-@settings(max_examples=40, deadline=None)
-def test_block_kernels_equal_fused(name: str, stack: np.ndarray) -> None:
-    """The jit-able pure-Python closures (what numba compiles) reproduce
-    the fused numpy kernels bit-for-bit on random stacks."""
-    metric = get_metric(name)
-    spec = HistogramSpec(bins=stack.shape[1])
-    fused = pairwise_matrix(metric, stack, spec, kernel="numpy")
-    left = np.ascontiguousarray(stack)
-    block = _PY_BLOCK_KERNELS[name](left, left, spec.bin_width)
-    np.fill_diagonal(block, 0.0)
-    block = 0.5 * (block + block.T)
-    # pairwise_matrix dedups before the block call; rebuild its scatter.
-    unique, inverse = np.unique(left, axis=0, return_inverse=True)
-    block_u = _PY_BLOCK_KERNELS[name](
-        np.ascontiguousarray(unique), np.ascontiguousarray(unique), spec.bin_width
-    )
-    np.fill_diagonal(block_u, 0.0)
-    block_u = 0.5 * (block_u + block_u.T)
-    scattered = block_u[np.ix_(inverse.reshape(-1), inverse.reshape(-1))]
-    assert np.array_equal(scattered, fused)
-
-
 @pytest.mark.parametrize("name", KERNEL_METRICS)
 @pytest.mark.parametrize(
     "stack",
@@ -122,9 +90,3 @@ def test_degenerate_pmfs_bit_identical(name: str, stack: np.ndarray) -> None:
         cross_matrix(metric, stack, stack, spec, kernel="numpy"),
         cross_matrix(metric, stack, stack, spec, kernel="scalar"),
     )
-
-
-def test_block_self_check_passes() -> None:
-    """The activation self-check the numba backend gates on: the block
-    kernels are bit-identical to the fused kernels on this platform."""
-    assert _self_check_blocks(_PY_BLOCK_KERNELS) == []

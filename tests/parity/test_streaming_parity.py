@@ -34,16 +34,13 @@ def test_interleaving_then_audit_equals_fresh_batch(
 ) -> None:
     store = small_store(seed=1)
     auditor = StreamingAuditor(store, algorithm=algorithm, metric=metric, seed=0)
-    try:
-        for round_seed in (21, 22, 23):
-            mutate(store, seed=round_seed, count=70)
-            report = auditor.audit()
-            result = batch_audit(store, algorithm=algorithm, metric=metric)
-            assert report.unfairness == result.unfairness
-            assert report_table(report) == group_table(result)
-            assert report.population_size == store.size
-    finally:
-        auditor.close()
+    for round_seed in (21, 22, 23):
+        mutate(store, seed=round_seed, count=70)
+        report = auditor.audit()
+        result = batch_audit(store, algorithm=algorithm, metric=metric)
+        assert report.unfairness == result.unfairness
+        assert report_table(report) == group_table(result)
+        assert report.population_size == store.size
 
 
 def test_size_weighting_bit_identical() -> None:
@@ -52,9 +49,6 @@ def test_size_weighting_bit_identical() -> None:
     auditor = StreamingAuditor(
         store, algorithm="balanced", metric="emd", weighting="size", seed=0
     )
-    try:
-        report = auditor.audit()
-        result = batch_audit(store, weighting="size")
-        assert report.unfairness == result.unfairness
-    finally:
-        auditor.close()
+    report = auditor.audit()
+    result = batch_audit(store, weighting="size")
+    assert report.unfairness == result.unfairness

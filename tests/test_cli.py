@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -29,76 +28,53 @@ class TestParser:
 
 
 class TestEngineFlagSurface:
-    """The unified --engine-backend/--engine-workers surface + aliases."""
+    """The shared --engine-kernel/--trace-out/--log-level surface."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["audit", "w.csv", "--engine-backend", "process", "--engine-workers", "2"],
-            ["compare", "w.csv", "--engine-backend", "process", "--engine-workers", "2"],
-            ["workload", "w.csv", "t.json", "--engine-backend", "process", "--engine-workers", "2"],
-            ["experiment", "table1", "--engine-backend", "process", "--engine-workers", "2"],
+            ["audit", "w.csv", "--engine-kernel", "scalar"],
+            ["compare", "w.csv", "--engine-kernel", "scalar"],
+            ["workload", "w.csv", "t.json", "--engine-kernel", "scalar"],
+            ["experiment", "table1", "--engine-kernel", "scalar"],
         ],
     )
     def test_all_four_subcommands_accept_new_flags(self, argv: list[str]) -> None:
         args = build_parser().parse_args(argv)
-        assert args.engine_backend == "process"
-        assert args.engine_workers == 2
+        assert args.engine_kernel == "scalar"
         assert args.trace_out is None
         assert args.log_level is None
 
-    def test_deprecated_backend_alias_warns_and_stores(self) -> None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            args = build_parser().parse_args(
-                ["audit", "w.csv", "--backend", "process", "--workers", "3"]
-            )
-        assert args.engine_backend == "process"
-        assert args.engine_workers == 3
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-        messages = sorted(str(w.message) for w in deprecations)
-        assert "use --engine-backend" in messages[0]
-        assert "use --engine-workers" in messages[1]
-
-    def test_deprecation_warns_once_per_location(self) -> None:
-        """Under the default filter, repeat parses warn only the first time."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                build_parser().parse_args(["compare", "w.csv", "--backend", "sequential"])
-        assert len([w for w in caught if w.category is DeprecationWarning]) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "w.csv", "--engine-backend", "process"],
+            ["audit", "w.csv", "--engine-workers", "2"],
+            ["audit", "w.csv", "--engine-retries", "3"],
+            ["audit", "w.csv", "--engine-timeout", "5"],
+            ["audit", "w.csv", "--engine-retry-backoff", "0.1"],
+            ["audit", "w.csv", "--engine-no-fallback"],
+            ["audit", "w.csv", "--inject-faults", "crash=0.1"],
+            ["audit", "w.csv", "--backend", "sequential"],
+            ["compare", "w.csv", "--workers", "2"],
+            ["experiment", "table1", "--engine-backend", "process"],
+            ["audit", "w.csv", "--engine-kernel", "numba"],
+            ["serve", "--workdir", "d", "--shard-workers", "2"],
+        ],
+    )
+    def test_removed_engine_flags_are_rejected(self, argv: list[str], capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_experiment_workers_still_means_population_size(self) -> None:
         args = build_parser().parse_args(["experiment", "table1", "--workers", "100"])
         assert args.workers == 100
-        assert args.engine_workers is None
 
     def test_workload_has_no_deprecated_aliases(self) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workload", "w.csv", "t.json", "--backend", "process"])
-
-    def test_old_and_new_spellings_behave_identically(
-        self, tmp_path: Path, capsys
-    ) -> None:
-        csv_path = tmp_path / "workers.csv"
-        main(["generate", "--workers", "60", "--seed", "5", "--out", str(csv_path)])
-        capsys.readouterr()
-        assert main(
-            ["audit", str(csv_path), "--function", "f6", "--engine-backend", "sequential"]
-        ) == 0
-        new_out = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(
-                ["audit", str(csv_path), "--function", "f6", "--backend", "sequential"]
-            ) == 0
-        old_out = capsys.readouterr().out
-
-        def stable(text: str) -> list[str]:
-            return [line for line in text.splitlines() if "runtime" not in line]
-
-        assert stable(old_out) == stable(new_out)
 
 
 class TestTraceOut:

@@ -1,4 +1,4 @@
-"""Tests for the shared evaluation engine (kernels, incremental, backends).
+"""Tests for the shared evaluation engine (kernels, incremental, batching).
 
 The load-bearing guarantees:
 
@@ -6,8 +6,6 @@ The load-bearing guarantees:
   round-off for every metric that has one;
 * the incremental objective replayed over random split/merge sequences
   matches full recomputation to 1e-12 for **every** registered metric;
-* ``ProcessPoolBackend`` and ``SequentialBackend`` produce bit-identical
-  ``AlgorithmResult.unfairness`` on a fixed seed;
 * no algorithm constructs its own ``UnfairnessEvaluator`` — evaluation is
   the engine's job.
 """
@@ -36,12 +34,8 @@ from repro.core.splitting import split_partition
 from repro.core.unfairness import UnfairnessEvaluator
 from repro.engine import (
     EvaluationEngine,
-    ProcessPoolBackend,
-    SequentialBackend,
-    available_backends,
     cross_matrix,
     full_objective,
-    get_backend,
     has_vectorized_kernel,
     pairwise_matrix,
 )
@@ -246,21 +240,7 @@ def test_engine_matches_reference_evaluator(paper_population_small) -> None:
     )
 
 
-# ----------------------------------------------------------------- backends
-
-
-def test_available_and_get_backend() -> None:
-    assert available_backends() == ("sequential", "process", "sharded")
-    assert isinstance(get_backend(None), SequentialBackend)
-    assert isinstance(get_backend("sequential"), SequentialBackend)
-    pool = get_backend("process", workers=2)
-    assert isinstance(pool, ProcessPoolBackend)
-    assert pool.workers == 2
-    sharded = get_backend("sharded", workers=2)
-    assert type(sharded).__name__ == "ShardedBackend"
-    assert sharded.workers == 2
-    with pytest.raises(PartitioningError):
-        get_backend("gpu")
+# ----------------------------------------------------------------- batching
 
 
 def test_score_many_matches_individual_queries(small_population) -> None:
@@ -274,10 +254,6 @@ def test_score_many_matches_individual_queries(small_population) -> None:
     ]
     batched = engine.score_many(candidates)
     assert batched == [engine.unfairness(c) for c in candidates]
-
-
-# The process-vs-sequential bit-identity matrix moved to
-# tests/parity/test_execution_parity.py (shared parity harness).
 
 
 # ------------------------------------------------------- engine integration

@@ -11,7 +11,10 @@ acknowledgement" protocol rests on.
 from __future__ import annotations
 
 import json
+import shutil
+import time
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -450,3 +453,65 @@ class TestJournalWriteErrors:
         journal.close()
         with pytest.raises(JournalError, match="duplicate submit"):
             JobJournal(path).replay()
+
+
+class TestRetiredEngineKnobsReplay:
+    """A workdir written before the execution backends and the numba kernel
+    were retired: a monitor spec carrying ``backend``/``workers`` (plus its
+    snapshot, fingerprinted over that spec), a ``kernel: "numba"`` job that
+    already ran to QUARANTINED, and one journaled but never started.  On a
+    host without numba that older daemon quarantined such jobs after
+    ``max_attempts`` KernelErrors; replay must reach the same states."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "retired_backends_workdir"
+
+    def _start(self, tmp_path):
+        from repro.service import AuditService, ServiceConfig
+
+        workdir = tmp_path / "work"
+        shutil.copytree(self.FIXTURE, workdir)
+        config = ServiceConfig(workdir, port=None, monitor_poll_seconds=0.01)
+        return AuditService(config).start()
+
+    def test_journal_replays_to_the_same_terminal_states(self, tmp_path):
+        from repro.service.snapshot import read_snapshot_payload
+
+        service = self._start(tmp_path)
+        try:
+            assert service.record("numba-ran").state is JobState.QUARANTINED
+            deadline = time.time() + 30
+            while (
+                service.record("numba-pending").state is not JobState.QUARANTINED
+                and time.time() < deadline
+            ):
+                time.sleep(0.02)
+            pending = service.record("numba-pending")
+            assert pending.state is JobState.QUARANTINED
+            assert pending.attempt == pending.job.max_attempts
+            assert "KernelError" in pending.reason
+            # The snapshot's fingerprint covers the retired fields, so the
+            # restore falls back to journal replay with the same series.
+            counters = service.metrics.as_dict()["counters"]
+            assert counters.get("service.snapshot_restore_rejected") == 1
+            written = read_snapshot_payload(self.FIXTURE / "snapshots" / "m1.json")
+            assert service.monitor_series("m1") == written["series"]
+            spec = service.monitor("m1").spec
+            assert not hasattr(spec, "backend") and not hasattr(spec, "workers")
+        finally:
+            service.stop()
+
+    def test_new_submits_naming_numba_are_rejected(self, tmp_path):
+        from repro.exceptions import JobRejectedError
+
+        service = self._start(tmp_path)
+        try:
+            with pytest.raises(JobRejectedError) as rejected:
+                service.submit({"id": "n2", "scenario": "figure1", "kernel": "numba"})
+            assert rejected.value.reason == "invalid_spec"
+            with pytest.raises(JobRejectedError) as rejected:
+                service.create_monitor(
+                    {"id": "m2", "scenario": "table1", "kernel": "numba"}
+                )
+            assert rejected.value.reason == "invalid_spec"
+        finally:
+            service.stop()

@@ -247,22 +247,3 @@ class TestEngineIntegration:
         engine.sync_metrics()
         assert metrics.counter("engine.n_evaluations") == first + 1
         engine.close()
-
-    def test_process_backend_merges_worker_metrics(self) -> None:
-        population = toy_population()
-        scores = np.random.default_rng(0).uniform(size=population.size)
-        tracer, metrics = Tracer(), MetricsRegistry()
-        result = get_algorithm("balanced").run(
-            population,
-            scores,
-            backend="process",
-            workers=2,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        sequential = get_algorithm("balanced").run(population, scores)
-        assert result.unfairness == sequential.unfairness
-        assert metrics.counter("backend.candidates") > 0
-        names = {span.name for span in tracer.iter_spans()}
-        assert "backend.process.dispatch" in names
-        assert "backend.process.collect" in names
